@@ -223,37 +223,52 @@ def direct_power(
     return FiniteAlgebra(a.signature, size, tuple(tables), name)
 
 
-def subalgebra_closure(a: FiniteAlgebra, seed: Iterable[int]) -> frozenset[int]:
-    """Least subset containing the seed and all constants, closed under
-    every operation; worklist fixpoint."""
-    members: list[int] = []
-    pos: dict[int, int] = {}
+def _table_values(
+    table: tuple[int, ...], size: int, choices: list[list[int]]
+) -> set[int]:
+    """Values of a flat table on every argument tuple drawn from the
+    product of the per-position choices."""
+    offsets = [0]
+    for choice in choices[:-1]:
+        offsets = [(o + x) * size for o in offsets for x in choice]
+    return {table[o + x] for o in offsets for x in choices[-1]}
 
-    def add(x: int):
-        if x not in pos:
-            pos[x] = len(members)
-            members.append(x)
 
-    for sym, arity, table in a.operations():
-        if arity == 0:
-            add(table[0])
-    for s in sorted(set(seed)):
+def subalgebra_closure(
+    a: FiniteAlgebra, seed: Iterable[int], closed: frozenset[int] = frozenset()
+) -> frozenset[int]:
+    """Least subuniverse containing the seed, all constants and `closed`,
+    which must already be a subuniverse.
+
+    Each round applies every operation only to the argument tuples that
+    contain an element added in the previous round: the first such
+    position ranges over the new elements, earlier positions over the old
+    ones and later positions over all of them, so every tuple is applied
+    once and tuples inside `closed` never are."""
+    fresh = set(seed)
+    for s in sorted(fresh):
         if not 0 <= s < a.size:
             raise ValueError(f"seed element {s} out of range")
-        add(s)
-
-    positive = [(arity, table) for _, arity, table in a.operations() if arity > 0]
-    i = 0
-    while i < len(members):
+    positive = []
+    for _, arity, table in a.operations():
+        if arity == 0:
+            fresh.add(table[0])
+        else:
+            positive.append((arity, table))
+    members = list(closed)
+    seen = set(closed)
+    fresh -= seen
+    while fresh:
+        seen |= fresh
+        old, new = members, list(fresh)
+        members = old + new
+        fresh = set()
         for arity, table in positive:
-            # every argument tuple whose newest member is members[i]
-            for combo in itertools.product(range(i + 1), repeat=arity):
-                if i not in combo:
-                    continue
-                idx = _encode((members[j] for j in combo), a.size)
-                add(table[idx])
-        i += 1
-    return frozenset(members)
+            for i in range(arity):
+                choices = [old] * i + [new] + [members] * (arity - 1 - i)
+                fresh |= _table_values(table, a.size, choices)
+        fresh -= seen
+    return frozenset(seen)
 
 
 @functools.lru_cache(maxsize=None)

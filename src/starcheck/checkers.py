@@ -12,7 +12,6 @@ searches, whose identities are sound for the whole generated variety).
 
 from __future__ import annotations
 
-import collections
 import enum
 import itertools
 from dataclasses import dataclass
@@ -24,6 +23,7 @@ from .algebra import (
     _encode,
     all_congruences,
     direct_power,
+    subalgebra_closure,
 )
 from .contexts import IdealContext, _null_elements, n_kernel, validate_context
 from .relations import Relation, compose, congruence_relation, opposite, star
@@ -56,7 +56,6 @@ def is_left_star_symmetric(ctx: IdealContext, r: Relation) -> SymmetryVerdict:
     the relation."""
     if not r.is_square:
         raise ValueError("need a square relation")
-    validate_context(ctx, r.source)
     nc = _null_elements(ctx, r.source)
     for a in sorted(nc):
         row = r.row(a)
@@ -137,7 +136,6 @@ def graph_left_star_symmetric(
     definite failure."""
     if g0.domain != g1.domain or g0.codomain != g1.codomain:
         raise ValueError("graph legs must share domain and codomain")
-    validate_context(ctx, g0.codomain)
     g = g0.domain
     k0 = sorted(n_kernel(ctx, g0))
     k1 = sorted(n_kernel(ctx, g1))
@@ -211,74 +209,48 @@ def enumerate_reflexive_compatible(
 ) -> ReflexiveEnumeration:
     """All subalgebras of the square that contain the diagonal.
 
-    Breadth-first closure expansion: start from the closed diagonal, add
-    one absent pair at a time and re-close.  Any target relation is
-    reached by adding its pairs one by one (every intermediate closure
-    stays inside the target), so the enumeration is complete.  Output is
-    sorted by bit-set encoding."""
+    Close the diagonal D, compute the distinct principal subuniverses
+    P_p = Sg(D + {p}), and join-close them: R v P is the closure of P - R
+    over the already closed R.  This is complete because every reflexive
+    compatible R is the join of the P_p for p in R, and a join is reached
+    from the principals by adding one principal at a time.  At most
+    `budget` relations are kept and `truncated` is set exactly when more
+    exist; which subset a truncated run keeps follows the join order
+    and is not a canonical choice.  Output is sorted by bit-set encoding."""
     square = direct_power(a, 2, budget=max(a.size * a.size, 1))
-    qsize = square.size
-    unary: list[tuple[int, ...]] = []
-    rows: list[list[tuple[int, ...]]] = []  # per binary op: q -> op(q, .)
-    cols: list[list[tuple[int, ...]]] = []  # per binary op: q -> op(., q)
-    higher: list[tuple[int, tuple[int, ...]]] = []
-    for _, arity, table in square.operations():
-        if arity == 1:
-            unary.append(table)
-        elif arity == 2:
-            rows.append(
-                [table[q * qsize : (q + 1) * qsize] for q in range(qsize)]
-            )
-            cols.append(
-                [tuple(table[r * qsize + q] for r in range(qsize)) for q in range(qsize)]
-            )
-        elif arity > 2:
-            higher.append((arity, table))
+    diag = subalgebra_closure(square, (x * a.size + x for x in a.carrier))
+    principals = list(dict.fromkeys(
+        subalgebra_closure(square, (p,), closed=diag)
+        for p in range(square.size)
+        if p not in diag
+    ))
+    found = [diag]
+    seen = {diag}
 
-    def close_with(base: frozenset[int], extra: int) -> frozenset[int]:
-        cur = set(base)
-        cur.add(extra)
-        fresh = {extra}
-        while fresh:
-            members = list(cur)
-            new: set[int] = set()
-            for q in fresh:
-                for table in unary:
-                    new.add(table[q])
-                for by_row, by_col in zip(rows, cols):
-                    row, col = by_row[q], by_col[q]
-                    new.update(row[r] for r in members)
-                    new.update(col[r] for r in members)
-                for arity, table in higher:
-                    for combo in itertools.product(members, repeat=arity):
-                        if q in combo:
-                            new.add(table[_encode(combo, qsize)])
-            new -= cur
-            cur |= new
-            fresh = new
-        return frozenset(cur)
+    def admit(r: frozenset[int]) -> bool:
+        """Record r if new; False when that would exceed the budget."""
+        if r in seen:
+            return True
+        if len(found) >= budget:
+            return False
+        seen.add(r)
+        found.append(r)
+        return True
 
-    diag = frozenset(x * a.size + x for x in a.carrier)
-    seen: set[frozenset[int]] = {diag}
-    queue: collections.deque[frozenset[int]] = collections.deque([diag])
-    truncated = False
-    while queue:
-        state = queue.popleft()
-        for p in range(qsize):
-            if p in state:
+    truncated = not all(admit(p) for p in principals)
+    i = 1  # D v P = P, so joins start from the principals
+    while not truncated and i < len(found):
+        r = found[i]
+        i += 1
+        for p in principals:
+            # found relations are closed, so a union already found is the join
+            if p <= r or r | p in seen:
                 continue
-            nxt = close_with(state, p)
-            if nxt not in seen:
-                if len(seen) >= budget:
-                    truncated = True
-                    queue.clear()
-                    break
-                seen.add(nxt)
-                queue.append(nxt)
-        if truncated:
-            break
+            if not admit(subalgebra_closure(square, p - r, closed=r)):
+                truncated = True
+                break
 
-    masks = sorted(sum(1 << q for q in state) for state in seen)
+    masks = sorted(sum(1 << q for q in state) for state in found)
     relations = tuple(
         Relation(a, a, mask, compatible=True) for mask in masks
     )

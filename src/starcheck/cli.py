@@ -25,7 +25,6 @@ from .algebra import (
 )
 from .checkers import (
     DEFAULT_RELATION_BUDGET,
-    DEFAULT_SIGMA_NODE_BUDGET,
     PermutabilityWitness,
     SymmetryWitness,
     Verdict,
@@ -73,12 +72,11 @@ class RunConfiguration:
     kind: str | None = None
     max_relations: int = DEFAULT_RELATION_BUDGET
     clone_budget: int = DEFAULT_CLONE_BUDGET
-    sigma_budget: int = DEFAULT_SIGMA_NODE_BUDGET
     machine: bool = False
     out: IO[str] = field(default_factory=lambda: sys.stdout)
 
     def __post_init__(self):
-        if self.max_relations < 1 or self.clone_budget < 1 or self.sigma_budget < 1:
+        if self.max_relations < 1 or self.clone_budget < 1:
             raise ValueError("budgets must be positive")
 
 
@@ -546,7 +544,6 @@ def build_parser() -> argparse.ArgumentParser:
             )
         p.add_argument("--max-relations", type=int, default=DEFAULT_RELATION_BUDGET)
         p.add_argument("--clone-budget", type=int, default=DEFAULT_CLONE_BUDGET)
-        p.add_argument("--sigma-budget", type=int, default=DEFAULT_SIGMA_NODE_BUDGET)
         p.add_argument("--machine", action="store_true", help="line-oriented output")
 
     common(sub.add_parser("audit", help="run the four condition suites"))
@@ -585,7 +582,6 @@ def main(argv: list[str] | None = None, out: IO[str] | None = None) -> int:
         kind=getattr(args, "kind", None),
         max_relations=args.max_relations,
         clone_budget=args.clone_budget,
-        sigma_budget=args.sigma_budget,
         machine=args.machine,
         out=out if out is not None else sys.stdout,
     )

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .algebra import Congruence, FiniteAlgebra, Homomorphism, _encode
-from .contexts import IdealContext, _null_elements, validate_context
+from .contexts import IdealContext, _null_elements
 
 
 class Relation:
@@ -179,19 +179,21 @@ def inverse_image(f: Homomorphism, s: Relation) -> Relation:
     return Relation(f.domain, f.domain, mask, compatible=hint)
 
 
-def _require_star_input(ctx: IdealContext, r: Relation) -> None:
+def _require_star_input(ctx: IdealContext, r: Relation) -> frozenset[int]:
+    """The null class of r's carrier, once r is known to be a valid star
+    input; an inadmissible context raises ContextError first."""
     if not r.is_square:
         raise ValueError("star needs a square relation")
-    validate_context(ctx, r.source)
+    nc = _null_elements(ctx, r.source)
     if not r.source.signature.is_empty and not r.compatible:
         raise ValueError("star over a non-empty signature needs a compatible relation")
+    return nc
 
 
 def star(ctx: IdealContext, r: Relation) -> Relation:
     """Largest sub-star: the pairs of r whose first component is trivial."""
-    _require_star_input(ctx, r)
+    nc = _require_star_input(ctx, r)
     n = r.source.size
-    nc = _null_elements(ctx, r.source)
     mask = 0
     row = (1 << n) - 1
     for a in nc:

@@ -208,6 +208,13 @@ class TestEnumeration:
         enum = sc.enumerate_reflexive_compatible(set2, budget=2)
         assert enum.truncated and len(enum.relations) <= 2
 
+    def test_truncation_boundary(self, set3):
+        # set3 has exactly 64 reflexive relations
+        enum = sc.enumerate_reflexive_compatible(set3, budget=64)
+        assert not enum.truncated and len(enum.relations) == 64
+        enum = sc.enumerate_reflexive_compatible(set3, budget=63)
+        assert enum.truncated and len(enum.relations) == 63
+
     def test_canonical_order(self, monoid01):
         masks = [r.mask for r in sc.enumerate_reflexive_compatible(monoid01).relations]
         assert masks == sorted(masks)

@@ -67,6 +67,26 @@ class TestNullClass:
         with pytest.raises(ContextError):
             sc.null_class(sc.Pointed("missing"), monoid01)
 
+    def test_library_checks_reject_inadmissible_context(self, monoid01):
+        # 1 is not a subalgebra of monoid01 (the constant is 0).  Each call
+        # is made twice, so a failed validation is never cached; the
+        # relation is incompatible, so ContextError must precede the
+        # compatibility ValueError of the star routes.
+        ctx = sc.Pointed(1)
+        r = sc.Relation.from_pairs(monoid01, monoid01, [(0, 1)])
+        ident = sc.identity_homomorphism(monoid01)
+        calls = [
+            lambda: sc.star(ctx, r),
+            lambda: sc.star_via_pullback(ctx, r),
+            lambda: sc.is_left_star_symmetric(ctx, r),
+            lambda: sc.is_star_symmetric(ctx, r),
+            lambda: sc.graph_left_star_symmetric(ctx, ident, ident),
+        ]
+        for call in calls:
+            for _ in range(2):
+                with pytest.raises(ContextError):
+                    call()
+
 
 class TestNullMorphisms:
     def test_total_everything_null(self, set3, set2):
