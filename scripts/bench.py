@@ -1,0 +1,118 @@
+"""Microbenchmarks of the clone layer: term searches on fixed algebras.
+
+Times `find_e_subtractive_terms` on the rings Z5, Z6 and Z8 and
+`find_maltsev_term` on groupZ2, each call in full, with
+`time.perf_counter`; a case's figure is the median of its repeats.
+Results are merged into a JSON file under a label, so two checkouts can
+be compared in one file:
+
+    python scripts/bench.py --out BENCH.json --label parent --src <other checkout>/src
+    python scripts/bench.py --out BENCH.json --label change
+
+`--src` names the directory that starcheck is imported from (default:
+this checkout's `src/`); each case's verdict and clone size are stored
+with its times, so two labels can be checked to have done the same work.
+"""
+
+import argparse
+import json
+import os
+import pathlib
+import platform
+import statistics
+import sys
+import time
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+REPEATS = 5
+
+
+def ring_text(n: int) -> str:
+    """The ring Z_n in the corpus file format (same symbols and order as
+    corpus/ringZ4.alg)."""
+    add = [(a + b) % n for a in range(n) for b in range(n)]
+    mul = [(a * b) % n for a in range(n) for b in range(n)]
+    neg = [(-a) % n for a in range(n)]
+
+    def row(values):
+        return " ".join(map(str, values))
+
+    return (
+        f"algebra ringZ{n}\nsize {n}\nconst zero = 0\nconst one = {1 % n}\n"
+        f"op add/2 = [{row(add)}]\nop mul/2 = [{row(mul)}]\n"
+        f"op neg/1 = [{row(neg)}]\n"
+    )
+
+
+def cases(sc):
+    """(name, zero-argument call returning a short verdict string)."""
+    out = []
+    for n in (5, 6, 8):
+        a = sc.parse_algebra(ring_text(n))
+
+        def subtractive(a=a):
+            r = sc.find_e_subtractive_terms(a)
+            return f"{r.status.value} clone={r.clone_size}"
+
+        out.append((f"e-subtractive ringZ{n}", subtractive))
+    group = sc.parse_algebra((ROOT / "corpus" / "groupZ2.alg").read_text())
+
+    def maltsev():
+        r = sc.find_maltsev_term(group)
+        return f"{r.status.value} clone={r.clone_size}"
+
+    out.append(("maltsev groupZ2", maltsev))
+    return out
+
+
+def machine() -> dict:
+    return {
+        "python": platform.python_version(),
+        "implementation": platform.python_implementation(),
+        "system": platform.system(),
+        "release": platform.release(),
+        "machine": platform.machine(),
+        "processor": platform.processor(),
+        "cpus": os.cpu_count(),
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--label", default="change")
+    parser.add_argument("--src", default=str(ROOT / "src"))
+    parser.add_argument("--out", required=True)
+    args = parser.parse_args(argv)
+
+    sys.path.insert(0, str(pathlib.Path(args.src).resolve()))
+    import starcheck as sc
+
+    results = {}
+    for name, call in cases(sc):
+        verdict = call()  # warm-up; also the verdict recorded
+        runs = []
+        for _ in range(REPEATS):
+            start = time.perf_counter()
+            call()
+            runs.append(time.perf_counter() - start)
+        results[name] = {
+            "median_s": round(statistics.median(runs), 6),
+            "runs_s": [round(t, 6) for t in runs],
+            "verdict": verdict,
+        }
+        print(f"{args.label:>8}  {name:<24} {statistics.median(runs):8.3f} s  {verdict}")
+
+    out = pathlib.Path(args.out)
+    doc = json.loads(out.read_text()) if out.exists() else {}
+    doc["machine"] = machine()
+    doc["method"] = (
+        f"time.perf_counter around one full call, median of {REPEATS}"
+        " repeats after one warm-up call"
+    )
+    doc.setdefault("results", {})[args.label] = results
+    out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

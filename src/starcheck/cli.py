@@ -2,7 +2,8 @@
 
 Exit status is a pure function of the report: 1 if any check failed,
 3 if any check was inconclusive (budget), 2 for usage and parse errors,
-0 otherwise.  Machine-mode reports are line oriented and byte-stable
+0 otherwise; 4 is reserved for internal faults (a search whose witness
+fails its own identities), which no verdict can produce.  Machine-mode reports are line oriented and byte-stable
 across runs.
 """
 
@@ -58,6 +59,7 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
+EXIT_INTERNAL = 4
 
 _ENDO_SIZE_CAP = 5
 
@@ -593,6 +595,9 @@ def main(argv: list[str] | None = None, out: IO[str] | None = None) -> int:
     except (ParseError, ContextError, ValueError, OSError) as exc:
         print(f"starcheck: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except RuntimeError as exc:
+        print(f"starcheck: internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -11,14 +11,15 @@ only issued when the clone closure actually reached its fixpoint.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import re
 from dataclasses import dataclass
+from operator import add
 
 from .algebra import (
     FiniteAlgebra,
     Homomorphism,
-    _decode,
     _encode,
     constants_subalgebra,
 )
@@ -56,6 +57,32 @@ def term_text(term: Term) -> str:
     return f"{term.symbol}({', '.join(term_text(t) for t in term.args)})"
 
 
+def _compose(table, size: int, arg_tables, tab_len: int) -> tuple[int, ...]:
+    """Pointwise value table, of length ``tab_len``, of the operation with
+    flat ``table`` applied to argument value tables of that length (none
+    for a constant).
+
+    Each cell's table index is accumulated leftmost-argument-first by
+    ``map`` chains, so the work per cell runs at C level."""
+    if not arg_tables:
+        return (table[0],) * tab_len
+    first, *rest = arg_tables
+    idx = first
+    for arg in rest:
+        idx = map(add, map(size.__mul__, idx), arg)
+    return tuple(map(table.__getitem__, idx))
+
+
+@functools.lru_cache(maxsize=None)
+def _projections(size: int, arity: int) -> tuple[tuple[int, ...], ...]:
+    """Value tables of the ``arity`` projections over {0..size-1}."""
+    tab_len = size ** arity
+    return tuple(
+        tuple((idx // size ** (arity - 1 - i)) % size for idx in range(tab_len))
+        for i in range(arity)
+    )
+
+
 def term_table(term: Term, algebra: FiniteAlgebra, arity: int) -> tuple[int, ...]:
     """Value table of a term over all assignments, in lexicographic order.
 
@@ -63,10 +90,8 @@ def term_table(term: Term, algebra: FiniteAlgebra, arity: int) -> tuple[int, ...
     reuse subterms cost one pass per distinct node."""
     size = algebra.size
     tab_len = size ** arity
-    projections = [
-        tuple(_decode(idx, size, arity)[i] for idx in range(tab_len))
-        for i in range(arity)
-    ]
+    projections = _projections(size, arity)
+    tables = {sym: table for sym, _, table in algebra.operations()}
     memo: dict[int, tuple[int, ...]] = {}
     stack: list[tuple[Term, bool]] = [(term, False)]
     while stack:
@@ -83,12 +108,8 @@ def term_table(term: Term, algebra: FiniteAlgebra, arity: int) -> tuple[int, ...
             for child in node.args:
                 stack.append((child, False))
             continue
-        table = algebra.table(node.symbol)
         child_tables = [memo[id(child)] for child in node.args]
-        memo[id(node)] = tuple(
-            table[_encode((ct[p] for ct in child_tables), size)]
-            for p in range(tab_len)
-        )
+        memo[id(node)] = _compose(tables[node.symbol], size, child_tables, tab_len)
     return memo[id(term)]
 
 
@@ -156,24 +177,43 @@ class FreeAlgebraModel:
         a = self.base
         m = len(self.elements)
         tab_len = a.size ** self.generators
+        elements = [op.table for op in self.elements]
         tables = []
         for sym, arity, table in a.operations():
-            entries = []
-            for combo in itertools.product(range(m), repeat=arity):
-                args = [self.elements[c].table for c in combo]
-                result = tuple(
-                    table[_encode((arg[p] for arg in args), a.size)]
-                    for p in range(tab_len)
-                )
-                entries.append(self.index[result])
-            tables.append(tuple(entries))
+            tables.append(tuple(
+                self.index[
+                    _compose(table, a.size, [elements[c] for c in combo], tab_len)
+                ]
+                for combo in itertools.product(range(m), repeat=arity)
+            ))
         return FiniteAlgebra(a.signature, m, tuple(tables), name)
+
+
+def _fresh_tuples(count: int, frontier: int, arity: int):
+    """Argument tuples over range(count) holding at least one index
+    >= frontier, in lexicographic order."""
+    if arity == 0:
+        return
+    for c in range(count):
+        if c >= frontier:
+            for rest in itertools.product(range(count), repeat=arity - 1):
+                yield (c, *rest)
+        else:
+            for rest in _fresh_tuples(count, frontier, arity - 1):
+                yield (c, *rest)
 
 
 def _clone_rounds(a: FiniteAlgebra, n: int, budget: int):
     """Yield (elements, complete, exhausted) after seeding and after each
     closure round; rounds apply every basic operation to all argument
-    tuples that involve at least one element from the previous round."""
+    tuples that involve at least one element from the previous round.
+
+    Invariant that fixes the element order, the first-found terms and the
+    budget cut-off (and so the golden reports): within a round the
+    operations are taken in signature order, and each is applied to its
+    fresh tuples in lexicographic order of element positions, exactly as
+    a scan of every tuple over the round's snapshot that skips the
+    all-old ones would."""
     size = a.size
     tab_len = size ** n
     if tab_len > budget:
@@ -197,12 +237,11 @@ def _clone_rounds(a: FiniteAlgebra, n: int, budget: int):
         elements.append(TermOperation(a, n, table, term))
         return True
 
-    for i in range(n):
-        proj = tuple(_decode(idx, size, n)[i] for idx in range(tab_len))
+    for i, proj in enumerate(_projections(size, n)):
         insert(proj, Var(i))
     for sym, arity, table in a.operations():
         if arity == 0:
-            insert((table[0],) * tab_len, App(sym, ()))
+            insert(_compose(table, size, (), tab_len), App(sym, ()))
     yield elements, False, exhausted
 
     positive = [
@@ -212,13 +251,9 @@ def _clone_rounds(a: FiniteAlgebra, n: int, budget: int):
     while not exhausted:
         snapshot = len(elements)
         for sym, arity, table in positive:
-            for combo in itertools.product(range(snapshot), repeat=arity):
-                if all(c < frontier for c in combo):
-                    continue
-                args = [elements[c].table for c in combo]
-                result = tuple(
-                    table[_encode((arg[p] for arg in args), size)]
-                    for p in range(tab_len)
+            for combo in _fresh_tuples(snapshot, frontier, arity):
+                result = _compose(
+                    table, size, [elements[c].table for c in combo], tab_len
                 )
                 insert(result, App(sym, tuple(elements[c].term for c in combo)))
                 if exhausted:
@@ -243,6 +278,16 @@ def free_term_operations(
         if exhausted:
             break
     return FreeAlgebraModel(a, n, tuple(elements), complete)
+
+
+def _certify(op: TermOperation, identities: list[str], symbol: str) -> None:
+    """Re-check a witness against its defining identities on the whole
+    carrier; a failure is a fault in the search, not in the input."""
+    verdict = verify_term_identities(op, identities, symbol)
+    if not verdict.holds:
+        raise RuntimeError(
+            f"witness {op.text} fails {verdict.identity} at {verdict.assignment}"
+        )
 
 
 class SearchStatus(enum.Enum):
@@ -318,6 +363,8 @@ def find_e_subtractive_terms(
             break
 
     terms = tuple((e, found[e]) for e in targets if e in found)
+    for e, op in terms:
+        _certify(op, [f"s(x, x) = {e}", f"s(x, {e}) = x"], "s")
     missing = tuple(e for e in targets if e not in found)
     if not missing:
         status = SearchStatus.FOUND
@@ -336,28 +383,28 @@ class MaltsevSearch:
     complete: bool
 
 
+def _maltsev_table(table, n: int) -> bool:
+    # p(x, x, y) = y and p(x, y, y) = x for all carrier elements x, y
+    for x in range(n):
+        for y in range(n):
+            if table[(x * n + x) * n + y] != y:
+                return False
+            if table[(x * n + y) * n + y] != x:
+                return False
+    return True
+
+
 def find_maltsev_term(
     a: FiniteAlgebra, budget: int = DEFAULT_CLONE_BUDGET
 ) -> MaltsevSearch:
     """Search the ternary clone for p with p(x, x, y) = y and p(x, y, y) = x."""
-    n = a.size
-
-    def is_maltsev(table) -> bool:
-        for x in range(n):
-            for y in range(n):
-                if table[(x * n + x) * n + y] != y:
-                    return False
-                if table[(x * n + y) * n + y] != x:
-                    return False
-        return True
-
     scanned = 0
     clone: list[TermOperation] = []
     complete = False
     witness: TermOperation | None = None
     for clone, complete, exhausted in _clone_rounds(a, 3, budget):
         for op in clone[scanned:]:
-            if witness is None and is_maltsev(op.table):
+            if witness is None and _maltsev_table(op.table, a.size):
                 witness = op
         scanned = len(clone)
         if witness is not None:
@@ -366,6 +413,7 @@ def find_maltsev_term(
             break
 
     if witness is not None:
+        _certify(witness, ["p(x, x, y) = y", "p(x, y, y) = x"], "p")
         status = SearchStatus.FOUND
     elif complete:
         status = SearchStatus.ABSENT

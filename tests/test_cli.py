@@ -150,6 +150,19 @@ class TestExitCodes:
         assert code == 3
         assert "INCONCLUSIVE reason=clone-budget" in out
 
+    def test_internal_fault_exit(self, monkeypatch, capsys):
+        # a certification failure must not pass for an ABSENT verdict (1)
+        from starcheck import terms
+
+        monkeypatch.setattr(terms, "_subtractive_table", lambda table, e, size: True)
+        code = main(
+            ["find-terms", "--algebra", "corpus/ringZ2.alg", "--kind",
+             "e-subtractive", "--context", "proto", "--machine"],
+            out=io.StringIO(),
+        )
+        assert code == 4
+        assert "internal error" in capsys.readouterr().err
+
     def test_invalid_context_exit(self, capsys):
         code = main(
             ["audit", "--algebra", "corpus/bool2.alg", "--context", "pointed:0"],

@@ -1,6 +1,5 @@
-"""Property tests over random small algebras: one binary operation, plus
-an optional unary operation and an optional constant, on two or three
-elements.  Examples are derandomized, so every run checks the same ones."""
+"""Property tests over random small algebras on two or three elements.
+Examples are derandomized, so every run checks the same ones."""
 
 import itertools
 
@@ -8,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import starcheck as sc
+from starcheck.algebra import _decode, _encode
+from starcheck.terms import App, Var, _clone_rounds, term_text
 
 PROPERTY_SETTINGS = settings(
     derandomize=True, database=None, max_examples=60, deadline=None
@@ -16,6 +17,8 @@ PROPERTY_SETTINGS = settings(
 
 @st.composite
 def small_algebras(draw):
+    """One binary operation, plus an optional unary operation and an
+    optional constant."""
     n = draw(st.integers(2, 3))
     element = st.integers(0, n - 1)
 
@@ -31,6 +34,30 @@ def small_algebras(draw):
         symbols.append(("c", 0))
         tables.append(table(0))
     return sc.FiniteAlgebra(sc.Signature(tuple(symbols)), n, tuple(tables))
+
+
+@st.composite
+def mixed_algebras(draw):
+    """One to three operations, each of arity 0 to 3."""
+    n = draw(st.integers(2, 3))
+    arities = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+    element = st.integers(0, n - 1)
+    tables = tuple(
+        tuple(draw(st.lists(element, min_size=n**k, max_size=n**k)))
+        for k in arities
+    )
+    symbols = tuple((f"f{i}", k) for i, k in enumerate(arities))
+    return sc.FiniteAlgebra(sc.Signature(symbols), n, tables)
+
+
+def brute_force_reflexive(a):
+    """Masks of every reflexive compatible relation on a, ascending."""
+    diag = sc.diagonal(a).mask
+    return [
+        mask
+        for mask in range(1 << (a.size * a.size))
+        if mask & diag == diag and sc.Relation(a, a, mask).verify_compatible()
+    ]
 
 
 def naive_closure(a, seed):
@@ -51,15 +78,22 @@ def naive_closure(a, seed):
 @PROPERTY_SETTINGS
 @given(small_algebras())
 def test_enumeration_matches_brute_force(a):
-    diag = sc.diagonal(a).mask
-    expected = [
-        mask
-        for mask in range(1 << (a.size * a.size))
-        if mask & diag == diag and sc.Relation(a, a, mask).verify_compatible()
-    ]
     enum = sc.enumerate_reflexive_compatible(a)
     assert not enum.truncated
-    assert [r.mask for r in enum.relations] == expected
+    assert [r.mask for r in enum.relations] == brute_force_reflexive(a)
+
+
+@settings(derandomize=True, database=None, max_examples=12, deadline=None)
+@given(st.lists(st.integers(0, 1), min_size=4, max_size=4))
+def test_enumeration_on_squares_matches_brute_force(table):
+    # on most of these 4-element squares the union of two reflexive
+    # compatible relations is not compatible, so this exercises the join
+    # step; 4096 = 2**12 relations fit, so nothing is truncated
+    a = sc.FiniteAlgebra(sc.Signature((("op", 2),)), 2, (tuple(table),))
+    square = sc.direct_power(a, 2)
+    enum = sc.enumerate_reflexive_compatible(square, budget=4096)
+    assert not enum.truncated
+    assert [r.mask for r in enum.relations] == brute_force_reflexive(square)
 
 
 @PROPERTY_SETTINGS
@@ -72,3 +106,104 @@ def test_closure_over_closed_subuniverse(a, power, data):
     grown = sc.subalgebra_closure(b, seed, closed=closed)
     assert grown == sc.subalgebra_closure(b, closed | seed)
     assert grown == naive_closure(b, closed | seed)
+
+
+def reference_clone_rounds(a, n, budget):
+    """The clone round loop as first written: scan every argument tuple
+    over the round's snapshot, skip the all-old ones, evaluate cell by
+    cell.  Yields ([(table, term_text), ...], complete, exhausted)."""
+    size = a.size
+    tab_len = size**n
+    max_elements = budget // tab_len
+    elements, index = [], set()
+    exhausted = False
+
+    def insert(table, term):
+        nonlocal exhausted
+        if table in index:
+            return
+        if len(elements) >= max_elements:
+            exhausted = True
+            return
+        index.add(table)
+        elements.append((table, term))
+
+    def rendered():
+        return [(table, term_text(term)) for table, term in elements]
+
+    for i in range(n):
+        insert(tuple(_decode(idx, size, n)[i] for idx in range(tab_len)), Var(i))
+    for sym, arity, table in a.operations():
+        if arity == 0:
+            insert((table[0],) * tab_len, App(sym, ()))
+    yield rendered(), False, exhausted
+    frontier = 0
+    while not exhausted:
+        snapshot = len(elements)
+        for sym, arity, table in a.operations():
+            if arity == 0:
+                continue
+            for combo in itertools.product(range(snapshot), repeat=arity):
+                if all(c < frontier for c in combo):
+                    continue
+                args = [elements[c][0] for c in combo]
+                result = tuple(
+                    table[_encode((arg[p] for arg in args), size)]
+                    for p in range(tab_len)
+                )
+                insert(result, App(sym, tuple(elements[c][1] for c in combo)))
+                if exhausted:
+                    break
+            if exhausted:
+                break
+        if len(elements) == snapshot and not exhausted:
+            yield rendered(), True, False
+            return
+        frontier = snapshot
+        yield rendered(), False, exhausted
+    yield rendered(), False, True
+
+
+@PROPERTY_SETTINGS
+@given(mixed_algebras(), st.integers(1, 2), st.integers(1, 20))
+def test_clone_rounds_match_reference(a, n, max_elements):
+    # budgets of 1 to 20 elements: small ones run out inside a round
+    budget = max_elements * a.size**n
+    rounds = [
+        ([(op.table, op.text) for op in elements], complete, exhausted)
+        for elements, complete, exhausted in _clone_rounds(a, n, budget)
+    ]
+    assert rounds == list(reference_clone_rounds(a, n, budget))
+
+
+@st.composite
+def algebras_with_terms(draw):
+    """An algebra, an arity and a term over it, built bottom-up from a
+    pool so that subterms are shared."""
+    a = draw(mixed_algebras())
+    arity = draw(st.integers(1, 3))
+    pool = [Var(i) for i in range(arity)]
+    pool += [App(sym, ()) for sym, k, _ in a.operations() if k == 0]
+    positive = [(sym, k) for sym, k, _ in a.operations() if k > 0]
+    for _ in range(draw(st.integers(0, 8)) if positive else 0):
+        sym, k = draw(st.sampled_from(positive))
+        args = draw(st.lists(st.sampled_from(pool), min_size=k, max_size=k))
+        pool.append(App(sym, tuple(args)))
+    return a, arity, draw(st.sampled_from(pool))
+
+
+def naive_value(term, a, assignment):
+    if isinstance(term, Var):
+        return assignment[term.index]
+    return a.apply(term.symbol, tuple(naive_value(t, a, assignment) for t in term.args))
+
+
+@PROPERTY_SETTINGS
+@given(algebras_with_terms())
+def test_term_table_matches_naive_evaluator(case):
+    a, arity, term = case
+    expected = tuple(
+        naive_value(term, a, assignment)
+        for assignment in itertools.product(a.carrier, repeat=arity)
+    )
+    assert sc.term_table(term, a, arity) == expected

@@ -107,6 +107,15 @@ class TestSubtractiveSearch:
         with pytest.raises(ValueError, match="constants"):
             sc.find_e_subtractive_terms(set3)
 
+    def test_unsound_witness_is_an_internal_error(self, monkeypatch, bool2):
+        # a search that accepts every table would report the projection x;
+        # the identity check on the whole carrier must refuse it
+        from starcheck import terms
+
+        monkeypatch.setattr(terms, "_subtractive_table", lambda table, e, size: True)
+        with pytest.raises(RuntimeError, match="fails"):
+            sc.find_e_subtractive_terms(bool2)
+
     def test_deterministic(self, ring_z4):
         first = sc.find_e_subtractive_terms(ring_z4)
         second = sc.find_e_subtractive_terms(ring_z4)
@@ -126,6 +135,15 @@ class TestMaltsevSearch:
         result = sc.find_maltsev_term(semilattice01)
         assert result.status is SearchStatus.ABSENT
         assert result.complete and result.clone_size == 7
+
+    def test_unsound_witness_is_an_internal_error(self, monkeypatch, group_z2):
+        # a search that accepts every table would report the projection x;
+        # the identity check on the whole carrier must refuse it
+        from starcheck import terms
+
+        monkeypatch.setattr(terms, "_maltsev_table", lambda table, n: True)
+        with pytest.raises(RuntimeError, match="fails"):
+            sc.find_maltsev_term(group_z2)
 
     def test_monoid_absent(self, monoid01):
         result = sc.find_maltsev_term(monoid01)
