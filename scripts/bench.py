@@ -1,10 +1,17 @@
-"""Microbenchmarks of the clone layer: term searches on fixed algebras.
+"""Microbenchmarks of the clone, congruence and homomorphism layers.
 
-Times `find_e_subtractive_terms` on the rings Z5, Z6 and Z8 and
-`find_maltsev_term` on groupZ2, each call in full, with
-`time.perf_counter`; a case's figure is the median of its repeats.
-Results are merged into a JSON file under a label, so two checkouts can
-be compared in one file:
+Times, each call in full, with `time.perf_counter`:
+- `find_e_subtractive_terms` on the rings Z5, Z6 and Z8 and
+  `find_maltsev_term` on groupZ2 (clone layer);
+- `all_congruences` on the squares of ringZ4 and bool4 (congruence
+  lattice);
+- the endomorphisms that check-identities quantifies over, on the
+  6-element group Z6, and `graph_left_star_symmetric` on the substitution
+  graph of ringZ2 at 0 (homomorphism search).
+Every starcheck cache is cleared before each call, so each one starts as
+cold as in a fresh process.  A case's figure is the median of its
+repeats.  Results are merged into a JSON file under a label, so two
+checkouts can be compared in one file:
 
     python scripts/bench.py --out BENCH.json --label parent --src <other checkout>/src
     python scripts/bench.py --out BENCH.json --label change
@@ -25,6 +32,16 @@ import time
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 REPEATS = 5
+
+
+def group_text(n: int) -> str:
+    """The additive group Z_n: zero, add and neg as in `ring_text`."""
+    add = " ".join(str((a + b) % n) for a in range(n) for b in range(n))
+    neg = " ".join(str(-a % n) for a in range(n))
+    return (
+        f"algebra groupZ{n}\nsize {n}\nconst zero = 0\n"
+        f"op add/2 = [{add}]\nop neg/1 = [{neg}]\n"
+    )
 
 
 def ring_text(n: int) -> str:
@@ -62,7 +79,51 @@ def cases(sc):
         return f"{r.status.value} clone={r.clone_size}"
 
     out.append(("maltsev groupZ2", maltsev))
+
+    for name in ("ringZ4", "bool4"):
+        base = sc.parse_algebra((ROOT / "corpus" / f"{name}.alg").read_text())
+        square = sc.direct_power(base, 2)
+
+        def congruences(square=square):
+            return f"congruences={len(sc.all_congruences(square, size_budget=16))}"
+
+        out.append((f"all_congruences {name}^2", congruences))
+
+    z6 = sc.parse_algebra(group_text(6))
+
+    def endomorphisms():
+        """The endomorphisms as check-identities builds them."""
+        if hasattr(sc, "HomomorphismSearch"):
+            from starcheck.cli import _ENDO_NODE_BUDGET
+
+            everything = {x: z6.carrier for x in z6.carrier}
+            search = sc.HomomorphismSearch(z6, z6, everything, _ENDO_NODE_BUDGET)
+            endos = [sc.Homomorphism(z6, z6, m) for m in search]
+        else:  # older checkouts: brute force over all n**n maps
+            from starcheck.cli import _endomorphisms
+
+            endos = _endomorphisms(z6)
+        return f"endomorphisms={len(endos)}"
+
+    out.append(("endomorphisms groupZ6", endomorphisms))
+    ring2 = sc.parse_algebra((ROOT / "corpus" / "ringZ2.alg").read_text())
+    graph = sc.substitution_graph(ring2, 0)
+
+    def sigma():
+        v = sc.graph_left_star_symmetric(sc.ProtoPointed(), graph.g0, graph.g1)
+        return f"{v.verdict.value} nodes={v.nodes}"
+
+    out.append(("graph symmetry ringZ2 e=0", sigma))
     return out
+
+
+def clear_caches():
+    """Empty the memoized functions of every starcheck module."""
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("starcheck."):
+            for obj in list(vars(module).values()):
+                if hasattr(obj, "cache_clear"):
+                    obj.cache_clear()
 
 
 def machine() -> dict:
@@ -89,9 +150,11 @@ def main(argv=None) -> int:
 
     results = {}
     for name, call in cases(sc):
+        clear_caches()
         verdict = call()  # warm-up; also the verdict recorded
         runs = []
         for _ in range(REPEATS):
+            clear_caches()
             start = time.perf_counter()
             call()
             runs.append(time.perf_counter() - start)
@@ -100,14 +163,15 @@ def main(argv=None) -> int:
             "runs_s": [round(t, 6) for t in runs],
             "verdict": verdict,
         }
-        print(f"{args.label:>8}  {name:<24} {statistics.median(runs):8.3f} s  {verdict}")
+        print(f"{args.label:>8}  {name:<26} {statistics.median(runs):10.6f} s  {verdict}")
 
     out = pathlib.Path(args.out)
     doc = json.loads(out.read_text()) if out.exists() else {}
     doc["machine"] = machine()
     doc["method"] = (
         f"time.perf_counter around one full call, median of {REPEATS}"
-        " repeats after one warm-up call"
+        " repeats after one warm-up call; starcheck caches cleared before"
+        " every call"
     )
     doc.setdefault("results", {})[args.label] = results
     out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")

@@ -199,6 +199,60 @@ def compose_homomorphisms(f: Homomorphism, g: Homomorphism) -> Homomorphism:
     return Homomorphism(f.domain, g.codomain, tuple(g.map[v] for v in f.map))
 
 
+class HomomorphismSearch:
+    """Backtracking search for the homomorphisms from the subuniverse
+    `candidates.keys()` of `a` into `b` that map each element to one of its
+    candidates.  Elements are assigned in increasing order and candidates
+    tried in increasing order, so image tuples come out in lexicographic
+    order.  Each operation application is checked once, when the latest
+    element it mentions is assigned.  `nodes` counts the candidates tried;
+    trying more than `node_budget` raises BudgetError.  Iterate once."""
+
+    def __init__(
+        self,
+        a: FiniteAlgebra,
+        b: FiniteAlgebra,
+        candidates: dict[int, Iterable[int]],
+        node_budget: int,
+    ):
+        if a.signature != b.signature:
+            raise ValueError("domain and codomain must share a signature")
+        self.domain = sorted(candidates)
+        self.candidates = [sorted(candidates[x]) for x in self.domain]
+        self.node_budget = node_budget
+        self.nodes = 0
+        self._size = b.size
+        position = {x: i for i, x in enumerate(self.domain)}
+        self._checks: list[list] = [[] for _ in self.domain]
+        for (_, arity, table), btable in zip(a.operations(), b.tables):
+            for combo in itertools.product(self.domain, repeat=arity):
+                value = table[_encode(combo, a.size)]
+                if value not in position:
+                    raise ValueError("candidate domain is not a subuniverse")
+                last = max(position[c] for c in combo + (value,))
+                self._checks[last].append((combo, value, btable))
+
+    def __iter__(self) -> Iterator[tuple[int, ...]]:
+        return self._extend(0, {})
+
+    def _extend(self, i: int, image: dict[int, int]) -> Iterator[tuple[int, ...]]:
+        if i == len(self.domain):
+            yield tuple(image[x] for x in self.domain)
+            return
+        for u in self.candidates[i]:
+            self.nodes += 1
+            if self.nodes > self.node_budget:
+                raise BudgetError(
+                    f"homomorphism search exceeded {self.node_budget} nodes"
+                )
+            image[self.domain[i]] = u
+            if all(
+                btable[_encode((image[c] for c in combo), self._size)] == image[value]
+                for combo, value, btable in self._checks[i]
+            ):
+                yield from self._extend(i + 1, image)
+
+
 def direct_power(
     a: FiniteAlgebra, k: int, budget: int = DEFAULT_POWER_BUDGET
 ) -> FiniteAlgebra:
@@ -328,31 +382,18 @@ class Congruence:
     partition: tuple[int, ...]
 
     def __post_init__(self):
-        a = self.algebra
-        if len(self.partition) != a.size:
+        a, p = self.algebra, self.partition
+        if len(p) != a.size:
             raise ValueError("partition length must equal carrier size")
-        for x, rep in enumerate(self.partition):
-            if rep > x or self.partition[rep] != rep:
+        for x, rep in enumerate(p):
+            if rep > x or p[rep] != rep:
                 raise ValueError("partition is not in smallest-member form")
-        # compatibility via single-argument translations (transitivity
-        # supplies the multi-argument case)
-        for sym, arity, table in a.operations():
-            if arity == 0:
-                continue
-            for pos in range(arity):
-                for x in a.carrier:
-                    for y in range(x + 1, a.size):
-                        if self.partition[x] != self.partition[y]:
-                            continue
-                        for rest in itertools.product(a.carrier, repeat=arity - 1):
-                            u = rest[:pos] + (x,) + rest[pos:]
-                            v = rest[:pos] + (y,) + rest[pos:]
-                            pu = table[_encode(u, a.size)]
-                            pv = table[_encode(v, a.size)]
-                            if self.partition[pu] != self.partition[pv]:
-                                raise ValueError(
-                                    f"partition not compatible with {sym}"
-                                )
+        # compatibility via single-argument translations (Mal'cev): each
+        # element must land in the block of its representative's image
+        for t in _translations(a):
+            for x, rep in enumerate(p):
+                if p[t[x]] != p[t[rep]]:
+                    raise ValueError(f"partition not compatible: {x} ~ {rep}")
 
     def relates(self, x: int, y: int) -> bool:
         return self.partition[x] == self.partition[y]
@@ -393,11 +434,30 @@ def _canonical_partition(uf: _UnionFind, n: int) -> tuple[int, ...]:
     return tuple(smallest[uf.find(x)] for x in range(n))
 
 
+@functools.lru_cache(maxsize=None)
+def _translations(a: FiniteAlgebra) -> tuple[tuple[int, ...], ...]:
+    """The distinct unary translations x -> f(c1..x..ck) of a other than
+    constants and the identity, as flat tables.  An equivalence is a
+    congruence iff every translation preserves it (Mal'cev)."""
+    n, identity = a.size, tuple(a.carrier)
+    found: dict[tuple[int, ...], None] = {}
+    for _, arity, table in a.operations():
+        for pos in range(arity):
+            # x sits at argument position pos: stride n**(arity-1-pos)
+            stride = n ** (arity - 1 - pos)
+            for start in range(len(table)):
+                if start // stride % n == 0:
+                    t = table[start:start + n * stride:stride]
+                    if t != identity and len(set(t)) > 1:
+                        found[t] = None
+    return tuple(found)
+
+
 def congruence_generated(
     a: FiniteAlgebra, pairs: Iterable[tuple[int, int]]
 ) -> Congruence:
-    """Least congruence relating every given pair: union-find interleaved
-    with closure under all single-argument translations, to fixpoint."""
+    """Least congruence relating every given pair: union-find in which
+    every union is queued and moved by every unary translation."""
     uf = _UnionFind(a.size)
     queue: list[tuple[int, int]] = []
     for x, y in sorted(set(pairs)):
@@ -405,20 +465,12 @@ def congruence_generated(
             raise ValueError(f"pair ({x},{y}) out of range")
         if uf.union(x, y):
             queue.append((x, y))
-    positive = [
-        (arity, table) for _, arity, table in a.operations() if arity > 0
-    ]
+    translations = _translations(a)
     while queue:
         x, y = queue.pop()
-        for arity, table in positive:
-            for pos in range(arity):
-                for rest in itertools.product(a.carrier, repeat=arity - 1):
-                    u = rest[:pos] + (x,) + rest[pos:]
-                    v = rest[:pos] + (y,) + rest[pos:]
-                    pu = table[_encode(u, a.size)]
-                    pv = table[_encode(v, a.size)]
-                    if uf.union(pu, pv):
-                        queue.append((pu, pv))
+        for t in translations:
+            if uf.union(t[x], t[y]):
+                queue.append((t[x], t[y]))
     return Congruence(a, _canonical_partition(uf, a.size))
 
 

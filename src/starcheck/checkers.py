@@ -1,10 +1,11 @@
 """Decision procedures for star-symmetry and star-permutability.
 
 The relation checkers scan concrete pair sets; the graph checker searches
-for the connecting homomorphism between the kernels of the two legs by
-backtracking.  The whole-algebra audit runs four condition suites over
-the congruences and the enumerated reflexive compatible relations of one
-algebra.  A single finite algebra can only certify counterexamples: a
+for the connecting homomorphism between the kernels of the two legs with
+`algebra.HomomorphismSearch`.  The whole-algebra audit runs four condition
+suites over the congruences and the enumerated reflexive compatible
+relations of one algebra, deciding left star-symmetry once per relation.
+A single finite algebra can only certify counterexamples: a
 failure refutes the variety it generates, while a clean audit is evidence,
 not a proof (positive variety-level certificates come from the term
 searches, whose identities are sound for the whole generated variety).
@@ -13,19 +14,19 @@ searches, whose identities are sound for the whole generated variety).
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass
 
 from .algebra import (
     Congruence,
     FiniteAlgebra,
     Homomorphism,
-    _encode,
+    HomomorphismSearch,
     all_congruences,
     direct_power,
     subalgebra_closure,
 )
 from .contexts import IdealContext, _null_elements, n_kernel, validate_context
+from .errors import BudgetError
 from .relations import Relation, compose, congruence_relation, opposite, star
 
 DEFAULT_RELATION_BUDGET = 1024
@@ -117,10 +118,6 @@ class GraphSymmetryVerdict:
     nodes: int = 0
 
 
-class _SigmaBudget(Exception):
-    pass
-
-
 def graph_left_star_symmetric(
     ctx: IdealContext,
     g0: Homomorphism,
@@ -130,72 +127,28 @@ def graph_left_star_symmetric(
     """Search for a homomorphism sigma between the kernels of the two legs
     that swaps their images: g1(sigma(t)) = g0(t) and g0(sigma(t)) = g1(t).
 
-    Elements are processed in increasing carrier order and candidates tried
-    in increasing order, so the first solution found is reproducible.  An
-    exhausted node budget yields INCONCLUSIVE, which is distinct from a
-    definite failure."""
+    sigma is the first map `HomomorphismSearch` finds from K0 into K1, so
+    it is reproducible.  An exhausted node budget yields INCONCLUSIVE,
+    which is distinct from a definite failure."""
     if g0.domain != g1.domain or g0.codomain != g1.codomain:
         raise ValueError("graph legs must share domain and codomain")
-    g = g0.domain
-    k0 = sorted(n_kernel(ctx, g0))
     k1 = sorted(n_kernel(ctx, g1))
-
     candidates: dict[int, list[int]] = {}
-    for t in k0:
+    for t in sorted(n_kernel(ctx, g0)):
         cands = [u for u in k1 if g0.map[u] == g1.map[t] and g1.map[u] == g0.map[t]]
         if not cands:
             return GraphSymmetryVerdict(Verdict.FAIL, blocked_element=t)
         candidates[t] = cands
 
-    # operation applications inside K0, bucketed by the latest element
-    # (in K0 order) they mention, so each is checked exactly once
-    position = {t: i for i, t in enumerate(k0)}
-    k0set = set(k0)
-    buckets: list[list[tuple[tuple[int, ...], int, tuple[int, ...]]]] = [
-        [] for _ in k0
-    ]
-    for sym, arity, table in g.operations():
-        for combo in itertools.product(k0, repeat=arity):
-            value = table[_encode(combo, g.size)]
-            if value not in k0set:
-                raise AssertionError("kernel is not closed under operations")
-            last = max(position[c] for c in combo + (value,))
-            buckets[last].append((combo, value, table))
-
-    assignment: dict[int, int] = {}
-    gsize = g.size
-    nodes = 0
-
-    def consistent(upto: int) -> bool:
-        for combo, value, table in buckets[upto]:
-            args = tuple(assignment[c] for c in combo)
-            if table[_encode(args, gsize)] != assignment[value]:
-                return False
-        return True
-
-    def search(i: int) -> bool:
-        nonlocal nodes
-        if i == len(k0):
-            return True
-        t = k0[i]
-        for u in candidates[t]:
-            nodes += 1
-            if nodes > node_budget:
-                raise _SigmaBudget
-            assignment[t] = u
-            if consistent(i) and search(i + 1):
-                return True
-            del assignment[t]
-        return False
-
+    search = HomomorphismSearch(g0.domain, g0.domain, candidates, node_budget)
     try:
-        found = search(0)
-    except _SigmaBudget:
-        return GraphSymmetryVerdict(Verdict.INCONCLUSIVE, nodes=nodes)
-    if not found:
-        return GraphSymmetryVerdict(Verdict.FAIL, nodes=nodes)
-    sigma = tuple(sorted(assignment.items()))
-    return GraphSymmetryVerdict(Verdict.PASS, sigma=sigma, nodes=nodes)
+        images = next(iter(search), None)
+    except BudgetError:
+        return GraphSymmetryVerdict(Verdict.INCONCLUSIVE, nodes=search.nodes)
+    if images is None:
+        return GraphSymmetryVerdict(Verdict.FAIL, nodes=search.nodes)
+    sigma = tuple(zip(search.domain, images))
+    return GraphSymmetryVerdict(Verdict.PASS, sigma=sigma, nodes=search.nodes)
 
 
 @dataclass(frozen=True)
@@ -344,14 +297,13 @@ def audit_algebra(
     left_witnesses: list[SymmetryWitness] = []
     full_witnesses: list[SymmetryWitness] = []
     for r in enum.relations:
-        lv = is_left_star_symmetric(ctx, r)
-        if not lv.holds:
-            left_witnesses.append(SymmetryWitness(r, lv.witness))
+        # the left side is decided inside, and fails iff the relation side
+        # of star-symmetry does
         fv = is_star_symmetric(ctx, r)
         if not fv.holds:
-            full_witnesses.append(
-                SymmetryWitness(r, fv.witness, fv.from_opposite)
-            )
+            full_witnesses.append(SymmetryWitness(r, fv.witness, fv.from_opposite))
+            if not fv.from_opposite:
+                left_witnesses.append(SymmetryWitness(r, fv.witness))
 
     def sym_verdict(witnesses) -> Verdict:
         if witnesses:

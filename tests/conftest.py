@@ -30,6 +30,19 @@ def all_maps(a: sc.FiniteAlgebra, b: sc.FiniteAlgebra):
             yield result
 
 
+def compatible_partition(a: sc.FiniteAlgebra, partition) -> bool:
+    """Independent oracle: the full multi-argument compatibility condition."""
+    for sym, arity, table in a.operations():
+        for u in itertools.product(a.carrier, repeat=arity):
+            for v in itertools.product(a.carrier, repeat=arity):
+                if all(partition[x] == partition[y] for x, y in zip(u, v)):
+                    pu = a.apply(sym, u)
+                    pv = a.apply(sym, v)
+                    if partition[pu] != partition[pv]:
+                        return False
+    return True
+
+
 def all_partitions(n: int):
     """All partitions of {0..n-1} as smallest-member tuples (restricted
     growth strings, re-labelled)."""

@@ -1,4 +1,3 @@
-import itertools
 import random
 
 import pytest
@@ -6,7 +5,13 @@ import pytest
 import starcheck as sc
 from starcheck.errors import BudgetError, ParseError
 
-from conftest import all_maps, all_partitions, empty_set_algebra, load_algebra
+from conftest import (
+    all_maps,
+    all_partitions,
+    compatible_partition,
+    empty_set_algebra,
+    load_algebra,
+)
 
 
 class TestParsing:
@@ -191,19 +196,6 @@ class TestCongruences:
             sc.Congruence.from_pair_set(set3, {(0, 0), (1, 1), (2, 2), (0, 1)})
 
 
-def _compatible_partition(a: sc.FiniteAlgebra, partition) -> bool:
-    # independent oracle: the full multi-argument compatibility condition
-    for sym, arity, table in a.operations():
-        for u in itertools.product(a.carrier, repeat=arity):
-            for v in itertools.product(a.carrier, repeat=arity):
-                if all(partition[x] == partition[y] for x, y in zip(u, v)):
-                    pu = a.apply(sym, u)
-                    pv = a.apply(sym, v)
-                    if partition[pu] != partition[pv]:
-                        return False
-    return True
-
-
 class TestCongruenceOracle:
     @pytest.mark.parametrize(
         "name",
@@ -213,7 +205,7 @@ class TestCongruenceOracle:
     def test_matches_partition_filter(self, name):
         a = load_algebra(name)
         expected = {
-            p for p in all_partitions(a.size) if _compatible_partition(a, p)
+            p for p in all_partitions(a.size) if compatible_partition(a, p)
         }
         got = {c.partition for c in sc.all_congruences(a)}
         assert got == expected

@@ -9,7 +9,7 @@ import starcheck as sc
 from starcheck.cli import main, parse_relation, serialize_relation
 
 from cli_matrix import GOLDEN_RUNS
-from conftest import CORPUS, load_algebra
+from conftest import CORPUS, all_maps, load_algebra
 
 ROOT = CORPUS.parent
 
@@ -169,6 +169,67 @@ class TestExitCodes:
             out=io.StringIO(),
         )
         assert code == 2
+
+
+def cyclic_text(n: int, ring: bool) -> str:
+    """Z_n as an abelian group (zero, add, neg) or a ring (also one, mul)."""
+
+    def row(values):
+        return " ".join(map(str, values))
+
+    name = f"ringZ{n}" if ring else f"groupZ{n}"
+    lines = [f"algebra {name}", f"size {n}", "const zero = 0"]
+    if ring:
+        lines.append("const one = 1")
+    lines.append(f"op add/2 = [{row((a + b) % n for a in range(n) for b in range(n))}]")
+    if ring:
+        lines.append(f"op mul/2 = [{row(a * b % n for a in range(n) for b in range(n))}]")
+    lines.append(f"op neg/1 = [{row(-a % n for a in range(n))}]")
+    return "\n".join(lines) + "\n"
+
+
+def law_cases(out: str) -> dict[str, tuple[str, int]]:
+    """CHECK key -> (verdict, cases) of a machine check-identities report."""
+    laws = {}
+    for line in out.splitlines():
+        if line.startswith("CHECK "):
+            _, key, verdict, cases = line.split()[:4]
+            laws[key] = (verdict, int(cases.removeprefix("cases=")))
+    return laws
+
+
+class TestEndomorphismLaws:
+    """check-identities on 6-element algebras, past the old size cap of 5."""
+
+    @pytest.mark.parametrize("ring,context", [(True, "proto"), (False, "pointed:0")])
+    def test_six_elements_counted_like_brute_force(self, tmp_path, ring, context):
+        text = cyclic_text(6, ring)
+        path = tmp_path / "z6.alg"
+        path.write_text(text)
+        a = sc.parse_algebra(text)
+        endos = [f for f in all_maps(a, a) if context == "proto" or f.map[0] == 0]
+        code, out = run_cli(["check-identities", "--algebra", str(path),
+                             "--context", context, "--machine"])
+        laws = law_cases(out)
+        family = laws["law-star-pullback"][1]
+        assert laws["law-kernel-pair-inverse-image"] == ("PASS", len(endos))
+        assert laws["law-inverse-image-star"] == ("PASS", len(endos) * family)
+        assert code == 0
+
+    def test_spent_node_budget_is_inconclusive(self, tmp_path, monkeypatch):
+        from starcheck import cli
+
+        monkeypatch.setattr(cli, "_ENDO_NODE_BUDGET", 1)
+        path = tmp_path / "z6.alg"
+        path.write_text(cyclic_text(6, ring=True))
+        code, out = run_cli(["check-identities", "--algebra", str(path),
+                             "--context", "proto", "--machine"])
+        assert out.splitlines()[0] == "RUN command=check-identities algebra=ringZ6 context=proto"
+        laws = law_cases(out)
+        assert laws["law-inverse-image-star"] == ("INCONCLUSIVE", 0)
+        assert laws["law-kernel-pair-inverse-image"] == ("INCONCLUSIVE", 0)
+        assert laws["law-compose-star"][0] == "PASS"
+        assert code == 3
 
 
 MACHINE_LINE = re.compile(

@@ -3,12 +3,15 @@ Examples are derandomized, so every run checks the same ones."""
 
 import itertools
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import starcheck as sc
 from starcheck.algebra import _decode, _encode
 from starcheck.terms import App, Var, _clone_rounds, term_text
+
+from conftest import all_maps, all_partitions, compatible_partition
 
 PROPERTY_SETTINGS = settings(
     derandomize=True, database=None, max_examples=60, deadline=None
@@ -207,3 +210,83 @@ def test_term_table_matches_naive_evaluator(case):
         for assignment in itertools.product(a.carrier, repeat=arity)
     )
     assert sc.term_table(term, a, arity) == expected
+
+
+@PROPERTY_SETTINGS
+@given(mixed_algebras(), st.data())
+def test_endomorphism_search_matches_brute_force(a, data):
+    maps = [f.map for f in all_maps(a, a)]
+    everything = {x: a.carrier for x in a.carrier}
+    # the most nodes a search on a.size elements can take
+    most = sum(a.size**k for k in range(1, a.size + 1))
+    search = sc.HomomorphismSearch(a, a, everything, most)
+    assert list(search) == maps
+    base = data.draw(st.sampled_from(a.carrier))
+    fixed = sc.HomomorphismSearch(a, a, {**everything, base: (base,)}, most)
+    assert list(fixed) == [m for m in maps if m[base] == base]
+    # the budget is spent exactly when a search needs more nodes
+    assert list(sc.HomomorphismSearch(a, a, everything, search.nodes)) == maps
+    with pytest.raises(sc.BudgetError):
+        list(sc.HomomorphismSearch(a, a, everything, search.nodes - 1))
+
+
+def least_compatible_partition(a, x, y):
+    """The compatible partition relating x and y that refines every other
+    one, from the multi-argument oracle."""
+    candidates = [
+        p for p in all_partitions(a.size)
+        if p[x] == p[y] and compatible_partition(a, p)
+    ]
+    least = [
+        p for p in candidates
+        if all(q[i] == q[p[i]] for q in candidates for i in a.carrier)
+    ]
+    assert len(least) == 1
+    return least[0]
+
+
+@PROPERTY_SETTINGS
+@given(mixed_algebras())
+def test_congruences_match_partition_filter(a):
+    compatible = {p for p in all_partitions(a.size) if compatible_partition(a, p)}
+    assert {c.partition for c in sc.all_congruences(a)} == compatible
+    for x, y in itertools.combinations(a.carrier, 2):
+        generated = sc.congruence_generated(a, [(x, y)]).partition
+        assert generated == least_compatible_partition(a, x, y)
+
+
+@PROPERTY_SETTINGS
+@given(mixed_algebras())
+def test_congruence_rejects_exactly_incompatible_partitions(a):
+    for p in all_partitions(a.size):
+        if compatible_partition(a, p):
+            assert sc.Congruence(a, p).partition == p
+        else:
+            with pytest.raises(ValueError, match="not compatible"):
+                sc.Congruence(a, p)
+
+
+def with_fixed_point(a, base):
+    """a with every operation sending (base, ..., base) to base, so that
+    base is a one-element subalgebra and pointed:base is admissible."""
+    tables = []
+    for _, arity, table in a.operations():
+        i = _encode((base,) * arity, a.size)
+        tables.append(table[:i] + (base,) + table[i + 1:])
+    return sc.FiniteAlgebra(a.signature, a.size, tuple(tables))
+
+
+@PROPERTY_SETTINGS
+@given(mixed_algebras(), st.data())
+def test_star_matches_pullback_route(a, data):
+    base = data.draw(st.integers(0, a.size - 1))
+    cases = (
+        (a, sc.Total()),
+        (a, sc.ProtoPointed()),
+        (with_fixed_point(a, base), sc.Pointed(base)),
+    )
+    for algebra, ctx in cases:
+        enum = sc.enumerate_reflexive_compatible(algebra)
+        assert not enum.truncated
+        for r in enum.relations:
+            assert sc.star(ctx, r) == sc.star_via_pullback(ctx, r)
