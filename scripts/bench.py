@@ -1,4 +1,4 @@
-"""Microbenchmarks of the clone, congruence and homomorphism layers.
+"""Microbenchmarks of the clone, congruence, homomorphism and power layers.
 
 Times, each call in full, with `time.perf_counter`:
 - `find_e_subtractive_terms` on the rings Z5, Z6 and Z8 and
@@ -7,18 +7,22 @@ Times, each call in full, with `time.perf_counter`:
   lattice);
 - the endomorphisms that check-identities quantifies over, on the
   6-element group Z6, and `graph_left_star_symmetric` on the substitution
-  graph of ringZ2 at 0 (homomorphism search).
+  graph of ringZ2 at 0 (homomorphism search);
+- `direct_power(ringZ4^2, 2)`, the square that enumeration builds, and
+  `enumerate_reflexive_compatible` on ringZ4^2 (power and enumeration).
 Every starcheck cache is cleared before each call, so each one starts as
 cold as in a fresh process.  A case's figure is the median of its
-repeats.  Results are merged into a JSON file under a label, so two
-checkouts can be compared in one file:
+repeats.  One invocation times every label given, each label importing
+starcheck from its own `src` directory in its own child interpreter, and
+the label that runs first changes on every repeat, so drift of the
+machine spreads over all labels instead of showing as a difference
+between them.  Results are merged into a JSON file under each label:
 
-    python scripts/bench.py --out BENCH.json --label parent --src <other checkout>/src
-    python scripts/bench.py --out BENCH.json --label change
+    python scripts/bench.py --out BENCH.json --label parent=<other checkout>/src --label change
 
-`--src` names the directory that starcheck is imported from (default:
-this checkout's `src/`); each case's verdict and clone size are stored
-with its times, so two labels can be checked to have done the same work.
+A label without `=src` imports this checkout's `src/`.  Each case's
+verdict is stored with its times, so the labels can be checked to have
+done the same work.
 """
 
 import argparse
@@ -27,6 +31,7 @@ import os
 import pathlib
 import platform
 import statistics
+import subprocess
 import sys
 import time
 
@@ -114,6 +119,19 @@ def cases(sc):
         return f"{v.verdict.value} nodes={v.nodes}"
 
     out.append(("graph symmetry ringZ2 e=0", sigma))
+
+    ring4 = sc.parse_algebra((ROOT / "corpus" / "ringZ4.alg").read_text())
+    square = sc.direct_power(ring4, 2)
+
+    def power():
+        return f"size={sc.direct_power(square, 2).size}"
+
+    def enumeration():
+        enum = sc.enumerate_reflexive_compatible(square)
+        return f"relations={len(enum.relations)} truncated={enum.truncated}"
+
+    out.append(("direct_power ringZ4^2", power))
+    out.append(("enumerate_reflexive_compatible ringZ4^2", enumeration))
     return out
 
 
@@ -138,32 +156,86 @@ def machine() -> dict:
     }
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--label", default="change")
-    parser.add_argument("--src", default=str(ROOT / "src"))
-    parser.add_argument("--out", required=True)
-    args = parser.parse_args(argv)
-
-    sys.path.insert(0, str(pathlib.Path(args.src).resolve()))
+def serve(src: str) -> None:
+    """Child interpreter: import starcheck from `src`, print the case names
+    as one JSON line, then time the case named on each input line and
+    answer with the JSON line [seconds, verdict]."""
+    sys.path.insert(0, str(pathlib.Path(src).resolve()))
     import starcheck as sc
 
-    results = {}
-    for name, call in cases(sc):
+    calls = dict(cases(sc))
+    print(json.dumps(list(calls)), flush=True)
+    for line in sys.stdin:
+        call = calls[line.strip()]
         clear_caches()
-        verdict = call()  # warm-up; also the verdict recorded
-        runs = []
-        for _ in range(REPEATS):
-            clear_caches()
-            start = time.perf_counter()
-            call()
-            runs.append(time.perf_counter() - start)
-        results[name] = {
-            "median_s": round(statistics.median(runs), 6),
-            "runs_s": [round(t, 6) for t in runs],
-            "verdict": verdict,
-        }
-        print(f"{args.label:>8}  {name:<26} {statistics.median(runs):10.6f} s  {verdict}")
+        start = time.perf_counter()
+        verdict = call()
+        print(json.dumps([time.perf_counter() - start, verdict]), flush=True)
+
+
+class Child:
+    """A `serve` interpreter for one label."""
+
+    def __init__(self, src: str):
+        self.proc = subprocess.Popen(
+            [sys.executable, __file__, "--serve", src],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+        )
+        self.names = json.loads(self.proc.stdout.readline())
+
+    def run(self, name: str) -> tuple[float, str]:
+        self.proc.stdin.write(name + "\n")
+        self.proc.stdin.flush()
+        seconds, verdict = json.loads(self.proc.stdout.readline())
+        return seconds, verdict
+
+    def close(self) -> None:
+        self.proc.stdin.close()
+        self.proc.wait()
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--label", action="append", metavar="NAME[=SRC]",
+        help="a label and the src directory it imports (repeatable)",
+    )
+    parser.add_argument("--out")
+    parser.add_argument("--serve", metavar="SRC", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.serve:
+        serve(args.serve)
+        return 0
+    if not args.out:
+        parser.error("--out is required")
+
+    labels = dict(
+        text.split("=", 1) if "=" in text else (text, str(ROOT / "src"))
+        for text in args.label or ["change"]
+    )
+    children = {label: Child(src) for label, src in labels.items()}
+    order = list(children)
+    results = {label: {} for label in order}
+    try:
+        for name in children[order[0]].names:
+            # one warm-up call per label; its verdict is the one recorded
+            verdicts = {label: children[label].run(name)[1] for label in order}
+            runs = {label: [] for label in order}
+            for repeat in range(REPEATS):
+                shift = repeat % len(order)
+                for label in order[shift:] + order[:shift]:
+                    runs[label].append(children[label].run(name)[0])
+            for label in order:
+                median = statistics.median(runs[label])
+                results[label][name] = {
+                    "median_s": round(median, 6),
+                    "runs_s": [round(t, 6) for t in runs[label]],
+                    "verdict": verdicts[label],
+                }
+                print(f"{label:>8}  {name:<40} {median:10.6f} s  {verdicts[label]}")
+    finally:
+        for child in children.values():
+            child.close()
 
     out = pathlib.Path(args.out)
     doc = json.loads(out.read_text()) if out.exists() else {}
@@ -171,9 +243,10 @@ def main(argv=None) -> int:
     doc["method"] = (
         f"time.perf_counter around one full call, median of {REPEATS}"
         " repeats after one warm-up call; starcheck caches cleared before"
-        " every call"
+        " every call; each label in its own child interpreter, the label"
+        " that runs first rotating on every repeat"
     )
-    doc.setdefault("results", {})[args.label] = results
+    doc.setdefault("results", {}).update(results)
     out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return 0
 

@@ -4,6 +4,10 @@ Carriers are initial segments {0..n-1} of the non-negative integers and
 operations are stored as flat value tables in lexicographic argument order
 (leftmost argument most significant).  Everything here is immutable and
 hashable, so results can be cached and compared structurally.
+
+`_compose` applies a table to whole argument value streams at C level;
+powers, homomorphism checks, induced subalgebras and the clone in `terms`
+are built on it.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ import functools
 import itertools
 import re
 from dataclasses import dataclass, field
+from operator import add, ne
 from typing import Iterable, Iterator
 
 from .errors import BudgetError, ParseError
@@ -65,12 +70,34 @@ def _encode(args: Iterable[int], size: int) -> int:
     return idx
 
 
-def _decode(idx: int, size: int, length: int) -> tuple[int, ...]:
-    out = [0] * length
-    for i in range(length - 1, -1, -1):
-        out[i] = idx % size
-        idx //= size
-    return tuple(out)
+def _digits(size: int, length: int, position: int) -> Iterator[int]:
+    """Digit ``position`` (leftmost first) of each index 0..size**length-1
+    written with ``length`` digits in base ``size``, lazily: the value
+    stream of a projection."""
+    stride = size ** (length - 1 - position)
+    return map(size.__rmod__, map(stride.__rfloordiv__, range(size ** length)))
+
+
+@functools.lru_cache(maxsize=None)
+def _projections(size: int, arity: int) -> tuple[tuple[int, ...], ...]:
+    """Value tables of the ``arity`` projections over {0..size-1}."""
+    return tuple(tuple(_digits(size, arity, i)) for i in range(arity))
+
+
+def _compose(table, size: int, arg_tables, tab_len: int) -> Iterator[int]:
+    """Pointwise values, ``tab_len`` of them, of the operation with flat
+    ``table`` applied to argument value streams of that length (none for a
+    constant), as a lazy stream; callers that keep it wrap it in tuple().
+
+    Each cell's table index is accumulated leftmost-argument-first by
+    ``map`` chains, so the work per cell runs at C level."""
+    if not arg_tables:
+        return itertools.repeat(table[0], tab_len)
+    first, *rest = arg_tables
+    idx = first
+    for arg in rest:
+        idx = map(add, map(size.__mul__, idx), arg)
+    return map(table.__getitem__, idx)
 
 
 @dataclass(frozen=True)
@@ -164,14 +191,16 @@ def _check_map_shape(a: FiniteAlgebra, b: FiniteAlgebra, m: tuple[int, ...]):
 
 
 def _commutation_violation(a, b, m):
-    """First (symbol, args) where m fails to commute, or None."""
-    for sym, arity, table in a.operations():
-        btable = b.table(sym)
-        for idx, value in enumerate(table):
-            args = _decode(idx, a.size, arity)
-            mapped = tuple(m[x] for x in args)
-            if m[value] != btable[_encode(mapped, b.size)]:
-                return sym, args
+    """First (symbol, args) where m fails to commute, or None: m∘f and
+    f∘(m, ..., m) are compared as value streams over a's argument tuples."""
+    n, image = a.size, m.__getitem__
+    for (sym, arity, table), btable in zip(a.operations(), b.tables):
+        args = [map(image, _digits(n, arity, i)) for i in range(arity)]
+        pushed = _compose(btable, b.size, args, len(table))
+        unequal = map(ne, map(image, table), pushed)
+        idx = next(itertools.compress(itertools.count(), unequal), None)
+        if idx is not None:
+            return sym, tuple(idx // n ** (arity - 1 - i) % n for i in range(arity))
     return None
 
 
@@ -256,25 +285,43 @@ class HomomorphismSearch:
 def direct_power(
     a: FiniteAlgebra, k: int, budget: int = DEFAULT_POWER_BUDGET
 ) -> FiniteAlgebra:
-    """The k-th direct power; carrier tuples are encoded lexicographically."""
+    """The k-th direct power; carrier tuples are encoded lexicographically.
+
+    It is the subalgebra of the power on every point, listed in
+    lexicographic order, so that a point's position is its code."""
     if k < 1:
         raise ValueError("power must be positive")
     size = a.size ** k
     if size > budget:
         raise BudgetError(f"power carrier {size} exceeds budget {budget}")
-    tables = []
-    for sym, arity, table in a.operations():
-        entries = []
-        for idx in range(size ** arity):
-            args = _decode(idx, size, arity)
-            coords = [_decode(x, a.size, k) for x in args]
-            value = tuple(
-                table[_encode((c[i] for c in coords), a.size)] for i in range(k)
-            )
-            entries.append(_encode(value, a.size))
-        tables.append(tuple(entries))
+    tables = _induced_tables(a, list(itertools.product(a.carrier, repeat=k)))
     name = f"{a.name}^{k}" if a.name else ""
-    return FiniteAlgebra(a.signature, size, tuple(tables), name)
+    return FiniteAlgebra(a.signature, size, tables, name)
+
+
+def _induced_tables(
+    a: FiniteAlgebra, points: list[tuple[int, ...]]
+) -> tuple[tuple[int, ...], ...]:
+    """Tables of the subalgebra of a power of ``a`` on ``points``, a list
+    of equal-length coordinate tuples closed under the operations: each
+    entry is the position of a point, argument tuples of positions run in
+    ``itertools.product`` order.  A point outside the list raises KeyError."""
+    position = {p: i for i, p in enumerate(points)}
+    columns = tuple(zip(*points))
+    m = len(points)
+    tables = []
+    for _, arity, table in a.operations():
+        coords = [
+            _compose(
+                table,
+                a.size,
+                [map(column.__getitem__, _digits(m, arity, j)) for j in range(arity)],
+                m ** arity,
+            )
+            for column in columns
+        ]
+        tables.append(tuple(map(position.__getitem__, zip(*coords))))
+    return tuple(tables)
 
 
 def _table_values(
@@ -338,14 +385,9 @@ def image_factorization(
     values = sorted(set(f.map))
     reindex = {v: i for i, v in enumerate(values)}
     b = f.codomain
-    tables = []
-    for sym, arity, table in b.operations():
-        entries = []
-        for combo in itertools.product(values, repeat=arity):
-            v = table[_encode(combo, b.size)]
-            entries.append(reindex[v])  # closed: image of a hom is a subalgebra
-        tables.append(tuple(entries))
-    image = FiniteAlgebra(b.signature, len(values), tuple(tables))
+    # closed: the image of a homomorphism is a subalgebra
+    tables = _induced_tables(b, [(v,) for v in values])
+    image = FiniteAlgebra(b.signature, len(values), tables)
     surjection = Homomorphism(f.domain, image, tuple(reindex[v] for v in f.map))
     inclusion = Homomorphism(image, b, tuple(values))
     return surjection, image, inclusion
@@ -494,19 +536,18 @@ def all_congruences(
         raise BudgetError(
             f"carrier size {a.size} exceeds congruence budget {size_budget}"
         )
-    found: dict[tuple[int, ...], Congruence] = {}
+    # every congruence is a join of principal ones, so joining each new
+    # one with the distinct principal ones reaches the whole lattice
     discrete = congruence_generated(a, ())
-    found[discrete.partition] = discrete
-    worklist = [discrete.partition]
-    for x in a.carrier:
-        for y in range(x + 1, a.size):
-            c = congruence_generated(a, [(x, y)])
-            if c.partition not in found:
-                found[c.partition] = c
-                worklist.append(c.partition)
+    found = {discrete.partition: discrete}
+    for pair in itertools.combinations(a.carrier, 2):
+        c = congruence_generated(a, [pair])
+        found.setdefault(c.partition, c)
+    principals = list(found)[1:]
+    worklist = list(principals)
     while worklist:
         p = worklist.pop()
-        for q in list(found):
+        for q in principals:
             j = _join_partitions(p, q)
             if j not in found:
                 # equivalence join of congruences is again a congruence

@@ -2,9 +2,9 @@
 
 Exit status is a pure function of the report: 1 if any check failed,
 3 if any check was inconclusive (budget), 2 for usage and parse errors,
-0 otherwise; 4 is reserved for internal faults (a search whose witness
-fails its own identities), which no verdict can produce.  Machine-mode
-reports are line oriented and byte-stable across runs.
+0 otherwise; 4 is reserved for internal faults (any other exception, such
+as a witness failing its own identities), which no verdict can produce.
+Machine-mode reports are line oriented and byte-stable across runs.
 check-identities finds its endomorphisms with `algebra.HomomorphismSearch`
 under `_ENDO_NODE_BUDGET` nodes, with no cap on the carrier size.
 """
@@ -586,8 +586,8 @@ def main(argv: list[str] | None = None, out: IO[str] | None = None) -> int:
     except (ParseError, ContextError, ValueError, OSError) as exc:
         print(f"starcheck: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except RuntimeError as exc:
-        print(f"starcheck: internal error: {exc}", file=sys.stderr)
+    except Exception as exc:  # a fault in starcheck, not in the input
+        print(f"starcheck: internal error: {exc!r}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

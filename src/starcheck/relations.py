@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .algebra import Congruence, FiniteAlgebra, Homomorphism, _encode
+from .algebra import Congruence, FiniteAlgebra, Homomorphism, _encode, _induced_tables
 from .contexts import IdealContext, _null_elements
 
 
@@ -213,16 +213,7 @@ def star_via_pullback(ctx: IdealContext, r: Relation) -> Relation:
     ps = sorted(r.pairs())
     if not ps:
         return Relation(x, x, 0, compatible=r._compatible)
-    pindex = {p: i for i, p in enumerate(ps)}
-    tables = []
-    for sym, arity, table in x.operations():
-        entries = []
-        for combo in itertools.product(ps, repeat=arity):
-            a = table[_encode((p[0] for p in combo), x.size)]
-            b = table[_encode((p[1] for p in combo), x.size)]
-            entries.append(pindex[(a, b)])
-        tables.append(tuple(entries))
-    pair_algebra = FiniteAlgebra(x.signature, len(ps), tuple(tables))
+    pair_algebra = FiniteAlgebra(x.signature, len(ps), _induced_tables(x, ps))
     r0 = Homomorphism(pair_algebra, x, tuple(p[0] for p in ps))
     kernel = n_kernel(ctx, r0)
     mask = 0

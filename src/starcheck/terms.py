@@ -6,21 +6,24 @@ first syntax tree that produced it.  Searches over the growing clone
 decide whether the generated variety has subtraction-style binary terms
 for its constants, or a ternary Mal'tsev term; absence certificates are
 only issued when the clone closure actually reached its fixpoint.
+Term tables are evaluated with the table-composition kernel of `algebra`,
+which also owns the flat-table encoding they use.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 import itertools
 import re
 from dataclasses import dataclass
-from operator import add
 
 from .algebra import (
     FiniteAlgebra,
     Homomorphism,
+    _compose,
     _encode,
+    _induced_tables,
+    _projections,
     constants_subalgebra,
 )
 from .errors import BudgetError
@@ -57,32 +60,6 @@ def term_text(term: Term) -> str:
     return f"{term.symbol}({', '.join(term_text(t) for t in term.args)})"
 
 
-def _compose(table, size: int, arg_tables, tab_len: int) -> tuple[int, ...]:
-    """Pointwise value table, of length ``tab_len``, of the operation with
-    flat ``table`` applied to argument value tables of that length (none
-    for a constant).
-
-    Each cell's table index is accumulated leftmost-argument-first by
-    ``map`` chains, so the work per cell runs at C level."""
-    if not arg_tables:
-        return (table[0],) * tab_len
-    first, *rest = arg_tables
-    idx = first
-    for arg in rest:
-        idx = map(add, map(size.__mul__, idx), arg)
-    return tuple(map(table.__getitem__, idx))
-
-
-@functools.lru_cache(maxsize=None)
-def _projections(size: int, arity: int) -> tuple[tuple[int, ...], ...]:
-    """Value tables of the ``arity`` projections over {0..size-1}."""
-    tab_len = size ** arity
-    return tuple(
-        tuple((idx // size ** (arity - 1 - i)) % size for idx in range(tab_len))
-        for i in range(arity)
-    )
-
-
 def term_table(term: Term, algebra: FiniteAlgebra, arity: int) -> tuple[int, ...]:
     """Value table of a term over all assignments, in lexicographic order.
 
@@ -109,7 +86,8 @@ def term_table(term: Term, algebra: FiniteAlgebra, arity: int) -> tuple[int, ...
                 stack.append((child, False))
             continue
         child_tables = [memo[id(child)] for child in node.args]
-        memo[id(node)] = _compose(tables[node.symbol], size, child_tables, tab_len)
+        node_table = _compose(tables[node.symbol], size, child_tables, tab_len)
+        memo[id(node)] = tuple(node_table)
     return memo[id(term)]
 
 
@@ -174,19 +152,8 @@ class FreeAlgebraModel:
         """Materialize as a finite algebra with the induced operations."""
         if not self.complete:
             raise ValueError("only a complete model can be materialized")
-        a = self.base
-        m = len(self.elements)
-        tab_len = a.size ** self.generators
-        elements = [op.table for op in self.elements]
-        tables = []
-        for sym, arity, table in a.operations():
-            tables.append(tuple(
-                self.index[
-                    _compose(table, a.size, [elements[c] for c in combo], tab_len)
-                ]
-                for combo in itertools.product(range(m), repeat=arity)
-            ))
-        return FiniteAlgebra(a.signature, m, tuple(tables), name)
+        tables = _induced_tables(self.base, [op.table for op in self.elements])
+        return FiniteAlgebra(self.base.signature, len(self), tables, name)
 
 
 def _fresh_tuples(count: int, frontier: int, arity: int):
@@ -241,7 +208,7 @@ def _clone_rounds(a: FiniteAlgebra, n: int, budget: int):
         insert(proj, Var(i))
     for sym, arity, table in a.operations():
         if arity == 0:
-            insert(_compose(table, size, (), tab_len), App(sym, ()))
+            insert(tuple(_compose(table, size, (), tab_len)), App(sym, ()))
     yield elements, False, exhausted
 
     positive = [
@@ -252,9 +219,9 @@ def _clone_rounds(a: FiniteAlgebra, n: int, budget: int):
         snapshot = len(elements)
         for sym, arity, table in positive:
             for combo in _fresh_tuples(snapshot, frontier, arity):
-                result = _compose(
+                result = tuple(_compose(
                     table, size, [elements[c].table for c in combo], tab_len
-                )
+                ))
                 insert(result, App(sym, tuple(elements[c].term for c in combo)))
                 if exhausted:
                     break

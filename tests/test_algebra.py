@@ -179,6 +179,15 @@ class TestCongruences:
     def test_set3_bell_number(self, set3):
         assert len(sc.all_congruences(set3)) == 5
 
+    def test_set7_bell_number(self):
+        # every partition of a bare set is a congruence: Bell(7) = 877, in
+        # descending partition order
+        congruences = sc.all_congruences(empty_set_algebra(7))
+        assert len(congruences) == 877
+        assert [c.partition for c in congruences] == sorted(
+            all_partitions(7), reverse=True
+        )
+
     def test_z4_lattice(self, ring_z4):
         congruences = sc.all_congruences(ring_z4)
         assert [c.blocks() for c in congruences] == [

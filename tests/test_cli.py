@@ -163,6 +163,24 @@ class TestExitCodes:
         assert code == 4
         assert "internal error" in capsys.readouterr().err
 
+    def test_unexpected_exception_is_internal_error(self, monkeypatch, capsys):
+        # any fault inside a command exits 4, not 1 (FAIL), and prints no
+        # traceback
+        from starcheck import cli
+
+        def broken(*args, **kwargs):
+            raise KeyError("missing point")
+
+        monkeypatch.setattr(cli, "all_congruences", broken)
+        code = main(
+            ["congruences", "--algebra", "corpus/ringZ4.alg", "--machine"],
+            out=io.StringIO(),
+        )
+        err = capsys.readouterr().err
+        assert code == 4
+        assert "internal error" in err
+        assert "Traceback" not in err
+
     def test_invalid_context_exit(self, capsys):
         code = main(
             ["audit", "--algebra", "corpus/bool2.alg", "--context", "pointed:0"],

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import starcheck as sc
-from starcheck.algebra import _decode, _encode
+from starcheck.algebra import _encode
 from starcheck.terms import App, Var, _clone_rounds, term_text
 
 from conftest import all_maps, all_partitions, compatible_partition
@@ -40,10 +40,12 @@ def small_algebras(draw):
 
 
 @st.composite
-def mixed_algebras(draw):
-    """One to three operations, each of arity 0 to 3."""
+def mixed_algebras(draw, arities=None):
+    """One to three operations, each of arity 0 to 3, unless the arities
+    are given."""
     n = draw(st.integers(2, 3))
-    arities = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+    if arities is None:
+        arities = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
     element = st.integers(0, n - 1)
     tables = tuple(
         tuple(draw(st.lists(element, min_size=n**k, max_size=n**k)))
@@ -51,6 +53,13 @@ def mixed_algebras(draw):
     )
     symbols = tuple((f"f{i}", k) for i, k in enumerate(arities))
     return sc.FiniteAlgebra(sc.Signature(symbols), n, tables)
+
+
+@st.composite
+def algebra_pairs(draw):
+    """Two algebras of one signature."""
+    a = draw(mixed_algebras())
+    return a, draw(mixed_algebras([k for _, k in a.signature.symbols]))
 
 
 def brute_force_reflexive(a):
@@ -109,6 +118,15 @@ def test_closure_over_closed_subuniverse(a, power, data):
     grown = sc.subalgebra_closure(b, seed, closed=closed)
     assert grown == sc.subalgebra_closure(b, closed | seed)
     assert grown == naive_closure(b, closed | seed)
+
+
+def _decode(idx, size, length):
+    """The argument tuple with lexicographic code idx."""
+    out = [0] * length
+    for i in range(length - 1, -1, -1):
+        out[i] = idx % size
+        idx //= size
+    return tuple(out)
 
 
 def reference_clone_rounds(a, n, budget):
@@ -290,3 +308,81 @@ def test_star_matches_pullback_route(a, data):
         assert not enum.truncated
         for r in enum.relations:
             assert sc.star(ctx, r) == sc.star_via_pullback(ctx, r)
+
+
+def naive_power(a, k):
+    """Tables of the k-th power entry by entry: decode the arguments,
+    apply the operation in each coordinate, encode the result."""
+    size = a.size**k
+    tables = []
+    for sym, arity, _ in a.operations():
+        entries = []
+        for args in itertools.product(range(size), repeat=arity):
+            coords = [_decode(x, a.size, k) for x in args]
+            value = [a.apply(sym, tuple(c[i] for c in coords)) for i in range(k)]
+            entries.append(_encode(value, a.size))
+        tables.append(tuple(entries))
+    return tuple(tables)
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(mixed_algebras(), st.integers(1, 3))
+def test_direct_power_matches_coordinatewise_reference(a, k):
+    assert sc.direct_power(a, k).tables == naive_power(a, k)
+
+
+def naive_commutation_violation(a, b, m):
+    """Scan every operation and argument tuple in order for the first
+    place where m fails to commute."""
+    for sym, arity, _ in a.operations():
+        for args in itertools.product(a.carrier, repeat=arity):
+            if m[a.apply(sym, args)] != b.apply(sym, tuple(m[x] for x in args)):
+                return sym, args
+    return None
+
+
+@PROPERTY_SETTINGS
+@given(algebra_pairs())
+def test_check_homomorphism_matches_naive_scan(pair):
+    a, other = pair
+    for b in (a, other):
+        for m in itertools.product(b.carrier, repeat=a.size):
+            witness = naive_commutation_violation(a, b, m)
+            result = sc.check_homomorphism(a, b, m)
+            if witness is None:
+                assert result == sc.Homomorphism(a, b, m)
+            else:
+                assert result == witness
+
+
+def product_loop_tables(a, points):
+    """Tables of the subalgebra of a power of a on the closed list points,
+    one argument tuple of points at a time."""
+    position = {p: i for i, p in enumerate(points)}
+    k = len(points[0])
+    return tuple(
+        tuple(
+            position[tuple(a.apply(sym, tuple(p[i] for p in args)) for i in range(k))]
+            for args in itertools.product(points, repeat=arity)
+        )
+        for sym, arity, _ in a.operations()
+    )
+
+
+@PROPERTY_SETTINGS
+@given(mixed_algebras())
+def test_image_factorization_matches_product_loop(a):
+    for f in all_maps(a, a):
+        _, image, inclusion = sc.image_factorization(f)
+        points = [(v,) for v in inclusion.map]
+        assert image.tables == product_loop_tables(a, points)
+
+
+@PROPERTY_SETTINGS
+@given(mixed_algebras(), st.integers(1, 2))
+def test_free_model_algebra_matches_product_loop(a, generators):
+    # at most 16 elements, so the product loop stays small
+    model = sc.free_term_operations(a, generators, budget=16 * a.size**generators)
+    if model.complete:
+        points = [op.table for op in model]
+        assert model.as_algebra().tables == product_loop_tables(a, points)
