@@ -9,7 +9,11 @@ Times, each call in full, with `time.perf_counter`:
   6-element group Z6, and `graph_left_star_symmetric` on the substitution
   graph of ringZ2 at 0 (homomorphism search);
 - `direct_power(ringZ4^2, 2)`, the square that enumeration builds, and
-  `enumerate_reflexive_compatible` on ringZ4^2 (power and enumeration).
+  `enumerate_reflexive_compatible` on ringZ4^2 (power and enumeration);
+- the law-compose-star loop of check-identities over the 512 x 512
+  relations of set3 under the total context, and `is_star_symmetric` on
+  every enumerated relation of monoid01^2 under pointed:0 (relation
+  compose/star and the symmetry checkers).
 Every starcheck cache is cleared before each call, so each one starts as
 cold as in a fresh process.  A case's figure is the median of its
 repeats.  One invocation times every label given, each label importing
@@ -132,6 +136,31 @@ def cases(sc):
 
     out.append(("direct_power ringZ4^2", power))
     out.append(("enumerate_reflexive_compatible ringZ4^2", enumeration))
+
+    set3 = sc.parse_algebra((ROOT / "corpus" / "set3.alg").read_text())
+    family = [sc.Relation(set3, set3, mask) for mask in range(1 << 9)]
+
+    def compose_star():
+        """The law-compose-star loop of check-identities on set3."""
+        ctx = sc.Total()
+        stars = [sc.star(ctx, s) for s in family]
+        held = sum(
+            sc.star(ctx, sc.compose(s, r)) == sc.compose(star_s, r)
+            for r in family
+            for s, star_s in zip(family, stars)
+        )
+        return f"cases={len(family) ** 2} held={held}"
+
+    monoid = sc.parse_algebra((ROOT / "corpus" / "monoid01.alg").read_text())
+    relations = sc.enumerate_reflexive_compatible(sc.direct_power(monoid, 2)).relations
+
+    def symmetry():
+        ctx = sc.Pointed(0)
+        failed = sum(not sc.is_star_symmetric(ctx, r).holds for r in relations)
+        return f"relations={len(relations)} failed={failed}"
+
+    out.append(("law-compose-star set3 total", compose_star))
+    out.append(("is_star_symmetric monoid01^2 pointed:0", symmetry))
     return out
 
 

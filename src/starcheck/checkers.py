@@ -1,6 +1,10 @@
 """Decision procedures for star-symmetry and star-permutability.
 
-The relation checkers scan concrete pair sets; the graph checker searches
+The relation checkers scan concrete pair sets through `relations`, which
+owns the pair-bit layout: left star-symmetry walks only the star's pairs
+(the relation masked by the cached null-row mask) and a permutability
+witness is the first pair of the two composites' difference, so both
+witnesses are the lexicographically first.  The graph checker searches
 for the connecting homomorphism between the kernels of the two legs with
 `algebra.HomomorphismSearch`.  The whole-algebra audit runs four condition
 suites over the congruences and the enumerated reflexive compatible
@@ -25,9 +29,17 @@ from .algebra import (
     direct_power,
     subalgebra_closure,
 )
-from .contexts import IdealContext, _null_elements, n_kernel, validate_context
+from .contexts import IdealContext, n_kernel, validate_context
 from .errors import BudgetError
-from .relations import Relation, compose, congruence_relation, opposite, star
+from .relations import (
+    Relation,
+    _mask_pairs,
+    _null_rows,
+    compose,
+    congruence_relation,
+    opposite,
+    star,
+)
 
 DEFAULT_RELATION_BUDGET = 1024
 DEFAULT_SIGMA_NODE_BUDGET = 100_000
@@ -57,15 +69,9 @@ def is_left_star_symmetric(ctx: IdealContext, r: Relation) -> SymmetryVerdict:
     the relation."""
     if not r.is_square:
         raise ValueError("need a square relation")
-    nc = _null_elements(ctx, r.source)
-    for a in sorted(nc):
-        row = r.row(a)
-        b = 0
-        while row:
-            if row & 1 and (b, a) not in r:
-                return SymmetryVerdict(False, (a, b))
-            row >>= 1
-            b += 1
+    for a, b in _mask_pairs(r.mask & _null_rows(ctx, r.source), r.source.size):
+        if (b, a) not in r:
+            return SymmetryVerdict(False, (a, b))
     return SymmetryVerdict(True)
 
 
@@ -103,11 +109,8 @@ def check_star_permutes(
     via_second = compose(star(ctx, second), first)
     via_first = compose(star(ctx, first), second)
     diff = via_second.mask ^ via_first.mask
-    if not diff:
-        return PermutabilityVerdict(True, None, via_second, via_first)
-    n = first.source.size
-    idx = (diff & -diff).bit_length() - 1
-    return PermutabilityVerdict(False, (idx // n, idx % n), via_second, via_first)
+    witness = next(_mask_pairs(diff, first.source.size), None)
+    return PermutabilityVerdict(witness is None, witness, via_second, via_first)
 
 
 @dataclass(frozen=True)

@@ -123,7 +123,7 @@ def parse_relation(
             f"relation is over algebra {parts[1]!r}, not {algebra.name!r}",
         )
 
-    mask = 0
+    pairs: set[tuple[int, int]] = set()
     duplicates: list[tuple[int, int]] = []
     n = algebra.size
     for lineno, line in lines[2:]:
@@ -138,11 +138,10 @@ def parse_relation(
             raise ParseError(
                 filename, lineno, 1, f"pair ({a},{b}) out of range for size {n}"
             )
-        bit = 1 << (a * n + b)
-        if mask & bit:
+        if (a, b) in pairs:
             duplicates.append((a, b))
-        mask |= bit
-    relation = Relation(algebra, algebra, mask)
+        pairs.add((a, b))
+    relation = Relation.from_pairs(algebra, algebra, pairs)
     return ParsedRelation(relation, name, tuple(duplicates))
 
 
@@ -460,24 +459,24 @@ def _cmd_check_identities(cfg: RunConfiguration) -> int:
         else:
             report.raw(f"  {key.replace('-', ' ')}: {verdict.value} ({cases} cases)")
 
+    stars = [star(ctx, r) for r in family]
     ok = True
     cases = 0
     for r in family:
-        for s in family:
+        for s, star_s in zip(family, stars):
             cases += 1
-            if star(ctx, compose(s, r)) != compose(star(ctx, s), r):
+            if star(ctx, compose(s, r)) != compose(star_s, r):
                 ok = False
     law("law-compose-star", cases, ok)
 
     ok = True
-    for r in family:
-        if star(ctx, r) != star_via_pullback(ctx, r):
+    for r, st in zip(family, stars):
+        if st != star_via_pullback(ctx, r):
             ok = False
     law("law-star-pullback", len(family), ok)
 
     ok = True
-    for r in family:
-        st = star(ctx, r)
+    for r, st in zip(family, stars):
         if star(ctx, st) != st or (st.mask & ~r.mask):
             ok = False
     law("law-star-idempotent-deflationary", len(family), ok)
@@ -566,19 +565,19 @@ def main(argv: list[str] | None = None, out: IO[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    cfg = RunConfiguration(
-        command=args.command,
-        algebra_path=args.algebra,
-        relation_path=getattr(args, "relation", None),
-        context_spec=args.context,
-        prop=getattr(args, "property", None),
-        kind=getattr(args, "kind", None),
-        max_relations=args.max_relations,
-        clone_budget=args.clone_budget,
-        machine=args.machine,
-        out=out if out is not None else sys.stdout,
-    )
     try:
+        cfg = RunConfiguration(
+            command=args.command,
+            algebra_path=args.algebra,
+            relation_path=getattr(args, "relation", None),
+            context_spec=args.context,
+            prop=getattr(args, "property", None),
+            kind=getattr(args, "kind", None),
+            max_relations=args.max_relations,
+            clone_budget=args.clone_budget,
+            machine=args.machine,
+            out=out if out is not None else sys.stdout,
+        )
         return run_command(cfg)
     except BudgetError as exc:
         print(f"starcheck: budget: {exc}", file=sys.stderr)

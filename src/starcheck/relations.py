@@ -1,13 +1,18 @@
 """Binary relations between finite algebras, stored as bit-sets.
 
-A pair (a, b) occupies bit a * target.size + b of the mask.  Composition,
-opposites, kernel pairs, inverse images and the star operator live here;
-the star of a relation keeps exactly the pairs whose first component is a
-trivial element of the context.
+A pair (a, b) occupies bit a * target.size + b of the mask, so increasing
+bit order is lexicographic pair order.  Every decision about that layout
+lives here: `_mask_pairs` is the one walker over the set bits of a mask,
+and `_null_rows` caches, per (context, algebra), the mask of the square's
+pairs whose first component is trivial.  Composition, opposites, kernel
+pairs, inverse images and the star operator live here too; the star of a
+relation keeps exactly the pairs whose first component is a trivial
+element of the context, an AND with the null-row mask.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -51,14 +56,7 @@ class Relation:
         return cls(source, target, mask)
 
     def pairs(self) -> Iterator[tuple[int, int]]:
-        nt = self.target.size
-        mask = self.mask
-        idx = 0
-        while mask:
-            if mask & 1:
-                yield idx // nt, idx % nt
-            mask >>= 1
-            idx += 1
+        return _mask_pairs(self.mask, self.target.size)
 
     def __contains__(self, pair: tuple[int, int]) -> bool:
         a, b = pair
@@ -109,6 +107,14 @@ class Relation:
         return True
 
 
+def _mask_pairs(mask: int, nt: int) -> Iterator[tuple[int, int]]:
+    """The pairs of a mask over a target of size nt in increasing bit (that
+    is, lexicographic) order, visiting only the set bits."""
+    while mask:
+        yield divmod((mask & -mask).bit_length() - 1, nt)
+        mask &= mask - 1
+
+
 def pair_set_text(r: Relation) -> str:
     return "{" + ",".join(f"({a},{b})" for a, b in r.pairs()) + "}"
 
@@ -132,16 +138,8 @@ def compose(r: Relation, s: Relation) -> Relation:
     ny, nz = s.source.size, s.target.size
     srows = [s.row(y) for y in range(ny)]
     mask = 0
-    for x in range(r.source.size):
-        rrow = r.row(x)
-        out = 0
-        y = 0
-        while rrow:
-            if rrow & 1:
-                out |= srows[y]
-            rrow >>= 1
-            y += 1
-        mask |= out << (x * nz)
+    for x, y in _mask_pairs(r.mask, ny):
+        mask |= srows[y] << (x * nz)
     hint = True if (r._compatible and s._compatible) else None
     return Relation(r.source, s.target, mask, compatible=hint)
 
@@ -154,15 +152,21 @@ def opposite(r: Relation) -> Relation:
     return Relation(r.target, r.source, mask, compatible=r._compatible)
 
 
+def _equal_label_relation(a: FiniteAlgebra, labels: tuple[int, ...]) -> Relation:
+    """Pairs of elements with equal labels; compatible because the labels
+    are a homomorphism's values or a congruence's partition."""
+    classes: dict[int, int] = {}
+    for x, label in enumerate(labels):
+        classes[label] = classes.get(label, 0) | 1 << x
+    mask = 0
+    for x, label in enumerate(labels):
+        mask |= classes[label] << (x * a.size)
+    return Relation(a, a, mask, compatible=True)
+
+
 def kernel_pair(f: Homomorphism) -> Relation:
     """Pairs identified by f; always a congruence's pair set."""
-    n = f.domain.size
-    mask = 0
-    for a in range(n):
-        for b in range(n):
-            if f.map[a] == f.map[b]:
-                mask |= 1 << (a * n + b)
-    return Relation(f.domain, f.domain, mask, compatible=True)
+    return _equal_label_relation(f.domain, f.map)
 
 
 def inverse_image(f: Homomorphism, s: Relation) -> Relation:
@@ -179,27 +183,30 @@ def inverse_image(f: Homomorphism, s: Relation) -> Relation:
     return Relation(f.domain, f.domain, mask, compatible=hint)
 
 
-def _require_star_input(ctx: IdealContext, r: Relation) -> frozenset[int]:
-    """The null class of r's carrier, once r is known to be a valid star
+@functools.lru_cache(maxsize=None)
+def _null_rows(ctx: IdealContext, a: FiniteAlgebra) -> int:
+    """The mask of the pairs of a's square whose first component is
+    trivial: one full row per null element."""
+    row = (1 << a.size) - 1
+    return sum(row << (x * a.size) for x in _null_elements(ctx, a))
+
+
+def _require_star_input(ctx: IdealContext, r: Relation) -> int:
+    """The null-row mask of r's carrier, once r is known to be a valid star
     input; an inadmissible context raises ContextError first."""
     if not r.is_square:
         raise ValueError("star needs a square relation")
-    nc = _null_elements(ctx, r.source)
+    rows = _null_rows(ctx, r.source)
     if not r.source.signature.is_empty and not r.compatible:
         raise ValueError("star over a non-empty signature needs a compatible relation")
-    return nc
+    return rows
 
 
 def star(ctx: IdealContext, r: Relation) -> Relation:
     """Largest sub-star: the pairs of r whose first component is trivial."""
-    nc = _require_star_input(ctx, r)
-    n = r.source.size
-    mask = 0
-    row = (1 << n) - 1
-    for a in nc:
-        mask |= (row << (a * n))
+    rows = _require_star_input(ctx, r)
     hint = True if r._compatible else None
-    return Relation(r.source, r.source, r.mask & mask, compatible=hint)
+    return Relation(r.source, r.source, r.mask & rows, compatible=hint)
 
 
 def star_via_pullback(ctx: IdealContext, r: Relation) -> Relation:
@@ -251,32 +258,14 @@ class RelationPredicates:
 def relation_predicates(r: Relation) -> RelationPredicates:
     if not r.is_square:
         raise ValueError("predicates need a square relation")
-    n = r.source.size
-    reflexive = all((a, a) in r for a in range(n))
-    symmetric = all((b, a) in r for a, b in r.pairs())
-    transitive = True
-    for a in range(n):
-        row = r.row(a)
-        reach = 0
-        b = 0
-        rr = row
-        while rr:
-            if rr & 1:
-                reach |= r.row(b)
-            rr >>= 1
-            b += 1
-        if reach & ~row:
-            transitive = False
-            break
-    return RelationPredicates(reflexive, symmetric, transitive, r.compatible)
+    return RelationPredicates(
+        reflexive=not diagonal(r.source).mask & ~r.mask,
+        symmetric=r.mask == opposite(r).mask,
+        transitive=not compose(r, r).mask & ~r.mask,
+        compatible=r.compatible,
+    )
 
 
 def congruence_relation(c: Congruence) -> Relation:
     """The pair set of a congruence as a relation."""
-    n = c.algebra.size
-    mask = 0
-    for a in range(n):
-        for b in range(n):
-            if c.partition[a] == c.partition[b]:
-                mask |= 1 << (a * n + b)
-    return Relation(c.algebra, c.algebra, mask, compatible=True)
+    return _equal_label_relation(c.algebra, c.partition)

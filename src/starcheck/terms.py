@@ -91,10 +91,6 @@ def term_table(term: Term, algebra: FiniteAlgebra, arity: int) -> tuple[int, ...
     return memo[id(term)]
 
 
-def evaluate_term(term: Term, algebra: FiniteAlgebra, assignment: tuple[int, ...]) -> int:
-    return term_table(term, algebra, len(assignment))[_encode(assignment, algebra.size)]
-
-
 @dataclass(frozen=True)
 class TermOperation:
     """An n-ary value table paired with a syntax tree that produces it;

@@ -181,6 +181,16 @@ class TestExitCodes:
         assert "internal error" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("flag", ["--max-relations", "--clone-budget"])
+    def test_non_positive_budget_is_usage_error(self, flag, capsys):
+        code = main(
+            ["audit", "--algebra", "corpus/set2.alg", flag, "0"], out=io.StringIO()
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "starcheck: error: budgets must be positive" in err
+        assert "Traceback" not in err
+
     def test_invalid_context_exit(self, capsys):
         code = main(
             ["audit", "--algebra", "corpus/bool2.alg", "--context", "pointed:0"],

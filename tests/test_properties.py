@@ -1,5 +1,6 @@
-"""Property tests over random small algebras on two or three elements.
-Examples are derandomized, so every run checks the same ones."""
+"""Property tests over random small algebras on two or three elements,
+and over relations between bare sets of one to four elements.  Examples
+are derandomized, so every run checks the same ones."""
 
 import itertools
 
@@ -11,7 +12,7 @@ import starcheck as sc
 from starcheck.algebra import _encode
 from starcheck.terms import App, Var, _clone_rounds, term_text
 
-from conftest import all_maps, all_partitions, compatible_partition
+from conftest import all_maps, all_partitions, compatible_partition, empty_set_algebra
 
 PROPERTY_SETTINGS = settings(
     derandomize=True, database=None, max_examples=60, deadline=None
@@ -386,3 +387,132 @@ def test_free_model_algebra_matches_product_loop(a, generators):
     if model.complete:
         points = [op.table for op in model]
         assert model.as_algebra().tables == product_loop_tables(a, points)
+
+
+def pair_sets(ns, nt):
+    """Sets of pairs over a source of ns and a target of nt elements."""
+    return st.frozensets(st.tuples(st.integers(0, ns - 1), st.integers(0, nt - 1)))
+
+
+def naive_compose(p, q):
+    return {(x, z) for x, y in p for w, z in q if y == w}
+
+
+def naive_compatible(a, p):
+    """p is closed under every operation applied coordinatewise."""
+    return all(
+        (a.apply(sym, tuple(x for x, _ in combo)), a.apply(sym, tuple(y for _, y in combo))) in p
+        for sym, arity, _ in a.operations()
+        for combo in itertools.product(p, repeat=arity)
+    )
+
+
+def equal_label_pairs(labels):
+    return {(x, y) for x, u in enumerate(labels) for y, v in enumerate(labels) if u == v}
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(1, 4), st.integers(1, 4), st.data())
+def test_pairs_are_the_set_bits_in_lexicographic_order(ns, nt, data):
+    mask = data.draw(st.integers(0, (1 << ns * nt) - 1))
+    expected = [
+        (a, b) for a in range(ns) for b in range(nt) if mask >> (a * nt + b) & 1
+    ]
+    r = sc.Relation(empty_set_algebra(ns), empty_set_algebra(nt), mask)
+    assert list(r.pairs()) == expected
+    assert len(r) == len(expected)
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4), st.data())
+def test_compose_matches_pair_set_definition(nx, ny, nz, data):
+    # rectangular relations: source, middle and target sizes drawn apart
+    x, y, z = empty_set_algebra(nx), empty_set_algebra(ny), empty_set_algebra(nz)
+    p = data.draw(pair_sets(nx, ny))
+    q = data.draw(pair_sets(ny, nz))
+    composed = sc.compose(sc.Relation.from_pairs(x, y, p), sc.Relation.from_pairs(y, z, q))
+    assert composed == sc.Relation.from_pairs(x, z, naive_compose(p, q))
+
+
+@PROPERTY_SETTINGS
+@given(mixed_algebras(), st.data())
+def test_relation_predicates_match_pair_set_definitions(a, data):
+    p = data.draw(pair_sets(a.size, a.size))
+    variants = [p, p | {(x, x) for x in a.carrier}, p | {(y, x) for x, y in p}]
+    variants += [equal_label_pairs(c.partition) for c in sc.all_congruences(a)]
+    for q in variants:
+        preds = sc.relation_predicates(sc.Relation.from_pairs(a, a, q))
+        assert preds.reflexive == all((x, x) in q for x in a.carrier)
+        assert preds.symmetric == all((y, x) in q for x, y in q)
+        assert preds.transitive == (naive_compose(q, q) <= q)
+        assert preds.compatible == naive_compatible(a, q)
+
+
+def star_cases(a):
+    """(algebra, context, null elements) for total, proto and pointed at
+    every element, on a and on the bare set of its size."""
+    bare = empty_set_algebra(a.size)
+    for algebra in (a, bare):
+        yield algebra, sc.Total(), set(algebra.carrier)
+        yield algebra, sc.ProtoPointed(), naive_closure(algebra, ())
+    for b in a.carrier:
+        yield with_fixed_point(a, b), sc.Pointed(b), {b}
+        yield bare, sc.Pointed(b), {b}
+
+
+@PROPERTY_SETTINGS
+@given(mixed_algebras(), st.data())
+def test_star_keeps_the_pairs_with_null_first_component(a, data):
+    drawn = data.draw(pair_sets(a.size, a.size))
+    for algebra, ctx, nulls in star_cases(a):
+        # the full relation and the congruences are compatible
+        candidates = [drawn, equal_label_pairs((0,) * a.size)]
+        candidates += [equal_label_pairs(c.partition) for c in sc.all_congruences(algebra)]
+        for p in candidates:
+            r = sc.Relation.from_pairs(algebra, algebra, p)
+            if algebra.signature.is_empty or naive_compatible(algebra, p):
+                expected = {(x, y) for x, y in p if x in nulls}
+                assert sc.star(ctx, r) == sc.Relation.from_pairs(algebra, algebra, expected)
+            else:
+                with pytest.raises(ValueError, match="compatible"):
+                    sc.star(ctx, r)
+
+
+def first_unreversed_star_pair(p, nulls):
+    """The lexicographically first pair of p with a null first component
+    whose reverse is not in p."""
+    return min(((x, y) for x, y in p if x in nulls and (y, x) not in p), default=None)
+
+
+@PROPERTY_SETTINGS
+@given(mixed_algebras(), st.data())
+def test_star_symmetry_matches_pair_set_definition(a, data):
+    # mostly incompatible pair sets over a non-empty signature: the left
+    # check has no compatibility precondition
+    drawn = data.draw(pair_sets(a.size, a.size))
+    for algebra, ctx, nulls in star_cases(a):
+        # the second variant is left star-symmetric, so only its opposite
+        # can fail
+        reversed_star = {(y, x) for x, y in drawn if x in nulls}
+        for p in (drawn, drawn | reversed_star):
+            r = sc.Relation.from_pairs(algebra, algebra, p)
+            left = first_unreversed_star_pair(p, nulls)
+            assert sc.is_left_star_symmetric(ctx, r) == sc.SymmetryVerdict(left is None, left)
+            right = first_unreversed_star_pair({(y, x) for x, y in p}, nulls)
+            if left is not None:
+                expected = sc.SymmetryVerdict(False, left)
+            elif right is not None:
+                expected = sc.SymmetryVerdict(False, right, from_opposite=True)
+            else:
+                expected = sc.SymmetryVerdict(True)
+            assert sc.is_star_symmetric(ctx, r) == expected
+
+
+@PROPERTY_SETTINGS
+@given(mixed_algebras())
+def test_kernel_pair_and_congruence_relation_pair_equal_labels(a):
+    for f in all_maps(a, a):
+        assert sc.kernel_pair(f) == sc.Relation.from_pairs(a, a, equal_label_pairs(f.map))
+    for c in sc.all_congruences(a):
+        expected = sc.Relation.from_pairs(a, a, equal_label_pairs(c.partition))
+        assert sc.congruence_relation(c) == expected
