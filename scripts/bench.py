@@ -5,6 +5,8 @@ Times, each call in full, with `time.perf_counter`:
   `find_maltsev_term` on groupZ2 (clone layer);
 - `all_congruences` on the squares of ringZ4 and bool4 (congruence
   lattice);
+- `substitution_graph` of ringZ2 at 0, which builds both free models and
+  a term operation per element (free-model layer);
 - the endomorphisms that check-identities quantifies over, on the
   6-element group Z6, and `graph_left_star_symmetric` on the substitution
   graph of ringZ2 at 0 (homomorphism search);
@@ -116,6 +118,12 @@ def cases(sc):
 
     out.append(("endomorphisms groupZ6", endomorphisms))
     ring2 = sc.parse_algebra((ROOT / "corpus" / "ringZ2.alg").read_text())
+
+    def free_models():
+        g = sc.substitution_graph(ring2, 0)
+        return f"binary={len(g.binary_model)} unary={len(g.unary_model)}"
+
+    out.append(("substitution_graph ringZ2 e=0", free_models))
     graph = sc.substitution_graph(ring2, 0)
 
     def sigma():

@@ -123,6 +123,12 @@ class FiniteAlgebra:
             for v in table:
                 if not 0 <= v < self.size:
                     raise ValueError(f"table entry {v} for {sym} out of range")
+        # once, not per lru_cache lookup keyed by this algebra; set like a
+        # field, since materializing __dict__ would slow every attribute load
+        object.__setattr__(self, "_hash", hash((self.signature, self.size, self.tables)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def operations(self) -> Iterator[tuple[str, int, tuple[int, ...]]]:
         for (sym, arity), table in zip(self.signature.symbols, self.tables):
@@ -190,6 +196,15 @@ def _check_map_shape(a: FiniteAlgebra, b: FiniteAlgebra, m: tuple[int, ...]):
             raise ValueError(f"map value {v} out of codomain range")
 
 
+def _first_mismatch(left, right, size: int, arity: int):
+    """The argument tuple of the first cell where two value streams over
+    {0..size-1}^arity in lexicographic order differ, or None."""
+    idx = next(itertools.compress(itertools.count(), map(ne, left, right)), None)
+    if idx is None:
+        return None
+    return tuple(idx // size ** (arity - 1 - i) % size for i in range(arity))
+
+
 def _commutation_violation(a, b, m):
     """First (symbol, args) where m fails to commute, or None: m∘f and
     f∘(m, ..., m) are compared as value streams over a's argument tuples."""
@@ -197,10 +212,9 @@ def _commutation_violation(a, b, m):
     for (sym, arity, table), btable in zip(a.operations(), b.tables):
         args = [map(image, _digits(n, arity, i)) for i in range(arity)]
         pushed = _compose(btable, b.size, args, len(table))
-        unequal = map(ne, map(image, table), pushed)
-        idx = next(itertools.compress(itertools.count(), unequal), None)
-        if idx is not None:
-            return sym, tuple(idx // n ** (arity - 1 - i) % n for i in range(arity))
+        witness = _first_mismatch(map(image, table), pushed, n, arity)
+        if witness is not None:
+            return sym, witness
     return None
 
 

@@ -2,12 +2,14 @@
 
 The n-ary term operations of a finite algebra are generated breadth-first
 from the projections and constants, each new value table paired with the
-first syntax tree that produced it.  Searches over the growing clone
-decide whether the generated variety has subtraction-style binary terms
-for its constants, or a ternary Mal'tsev term; absence certificates are
-only issued when the clone closure actually reached its fixpoint.
-Term tables are evaluated with the table-composition kernel of `algebra`,
-which also owns the flat-table encoding they use.
+first syntax tree that produced it; a tree is checked against its table
+only where a term leaves the clone.  One search loop over the growing
+clone decides whether the generated variety has subtraction-style binary
+terms for its constants, or a ternary Mal'tsev term, and certifies each
+witness; absence certificates are only issued when the clone closure
+actually reached its fixpoint.  One evaluator turns syntax trees, parsed
+identities included, into value tables with the table-composition kernel
+of `algebra`, which also owns the flat-table encoding they use.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .algebra import (
     Homomorphism,
     _compose,
     _encode,
+    _first_mismatch,
     _induced_tables,
     _projections,
     constants_subalgebra,
@@ -61,14 +64,20 @@ def term_text(term: Term) -> str:
 
 
 def term_table(term: Term, algebra: FiniteAlgebra, arity: int) -> tuple[int, ...]:
-    """Value table of a term over all assignments, in lexicographic order.
+    """Value table of a term over all assignments, in lexicographic order."""
+    tables = {sym: table for sym, _, table in algebra.operations()}
+    projections = _projections(algebra.size, arity)
+    return _evaluate(term, tables, algebra.size, dict(enumerate(projections)))
+
+
+def _evaluate(term: Term, tables: dict, size: int, variables: dict) -> tuple[int, ...]:
+    """Value table of a tree over all assignments to its variables, in
+    lexicographic order: ``tables`` maps each App symbol to a flat table,
+    ``variables`` each Var index to its value table.
 
     Iterative bottom-up evaluation with sharing, so derivation trees that
     reuse subterms cost one pass per distinct node."""
-    size = algebra.size
-    tab_len = size ** arity
-    projections = _projections(size, arity)
-    tables = {sym: table for sym, _, table in algebra.operations()}
+    tab_len = size ** len(variables)
     memo: dict[int, tuple[int, ...]] = {}
     stack: list[tuple[Term, bool]] = [(term, False)]
     while stack:
@@ -76,9 +85,9 @@ def term_table(term: Term, algebra: FiniteAlgebra, arity: int) -> tuple[int, ...
         if id(node) in memo:
             continue
         if isinstance(node, Var):
-            if node.index >= arity:
-                raise ValueError(f"variable index {node.index} out of arity {arity}")
-            memo[id(node)] = projections[node.index]
+            if node.index not in variables:
+                raise ValueError(f"variable index {node.index} out of range")
+            memo[id(node)] = variables[node.index]
             continue
         if not expanded:
             stack.append((node, True))
@@ -94,7 +103,8 @@ def term_table(term: Term, algebra: FiniteAlgebra, arity: int) -> tuple[int, ...
 @dataclass(frozen=True)
 class TermOperation:
     """An n-ary value table paired with a syntax tree that produces it;
-    the two are checked against each other at construction."""
+    the two are checked against each other at construction, so the clone
+    builds these only for the terms it hands out."""
 
     algebra: FiniteAlgebra
     arity: int
@@ -141,9 +151,6 @@ class FreeAlgebraModel:
     def __iter__(self):
         return iter(self.elements)
 
-    def position(self, table: tuple[int, ...]) -> int | None:
-        return self.index.get(table)
-
     def as_algebra(self, name: str = "") -> FiniteAlgebra:
         """Materialize as a finite algebra with the induced operations."""
         if not self.complete:
@@ -168,8 +175,9 @@ def _fresh_tuples(count: int, frontier: int, arity: int):
 
 def _clone_rounds(a: FiniteAlgebra, n: int, budget: int):
     """Yield (elements, complete, exhausted) after seeding and after each
-    closure round; rounds apply every basic operation to all argument
-    tuples that involve at least one element from the previous round.
+    closure round, the elements as (table, term) pairs; rounds apply every
+    basic operation to all argument tuples that involve at least one
+    element from the previous round.
 
     Invariant that fixes the element order, the first-found terms and the
     budget cut-off (and so the golden reports): within a round the
@@ -185,7 +193,7 @@ def _clone_rounds(a: FiniteAlgebra, n: int, budget: int):
         )
     max_elements = budget // tab_len
 
-    elements: list[TermOperation] = []
+    elements: list[tuple[tuple[int, ...], Term]] = []
     index: dict[tuple[int, ...], int] = {}
     exhausted = False
 
@@ -197,7 +205,7 @@ def _clone_rounds(a: FiniteAlgebra, n: int, budget: int):
             exhausted = True
             return False
         index[table] = len(elements)
-        elements.append(TermOperation(a, n, table, term))
+        elements.append((table, term))
         return True
 
     for i, proj in enumerate(_projections(size, n)):
@@ -215,10 +223,9 @@ def _clone_rounds(a: FiniteAlgebra, n: int, budget: int):
         snapshot = len(elements)
         for sym, arity, table in positive:
             for combo in _fresh_tuples(snapshot, frontier, arity):
-                result = tuple(_compose(
-                    table, size, [elements[c].table for c in combo], tab_len
-                ))
-                insert(result, App(sym, tuple(elements[c].term for c in combo)))
+                arg_tables, arg_terms = zip(*map(elements.__getitem__, combo))
+                result = tuple(_compose(table, size, arg_tables, tab_len))
+                insert(result, App(sym, arg_terms))
                 if exhausted:
                     break
             if exhausted:
@@ -235,28 +242,65 @@ def free_term_operations(
     a: FiniteAlgebra, n: int, budget: int = DEFAULT_CLONE_BUDGET
 ) -> FreeAlgebraModel:
     """Close the projections and constants under all basic operations."""
-    elements: list[TermOperation] = []
-    complete = False
+    elements, complete = [], False
     for elements, complete, exhausted in _clone_rounds(a, n, budget):
         if exhausted:
             break
-    return FreeAlgebraModel(a, n, tuple(elements), complete)
+    ops = tuple(TermOperation(a, n, table, term) for table, term in elements)
+    return FreeAlgebraModel(a, n, ops, complete)
 
 
-def _certify(op: TermOperation, identities: list[str], symbol: str) -> None:
-    """Re-check a witness against its defining identities on the whole
-    carrier; a failure is a fault in the search, not in the input."""
+def _certify(a, arity, table, term, identities, symbol) -> TermOperation:
+    """A witness as a term operation, once its tree is re-evaluated to its
+    table and its identities hold on the whole carrier; a failure is a
+    fault in the search, not in the input."""
+    try:
+        op = TermOperation(a, arity, table, term)
+    except ValueError as exc:
+        raise RuntimeError(f"witness {term_text(term)}: {exc}") from None
     verdict = verify_term_identities(op, identities, symbol)
     if not verdict.holds:
         raise RuntimeError(
             f"witness {op.text} fails {verdict.identity} at {verdict.assignment}"
         )
+    return op
 
 
 class SearchStatus(enum.Enum):
     FOUND = "found"
     ABSENT = "absent"
     INCONCLUSIVE = "inconclusive"
+
+
+def _search(a: FiniteAlgebra, arity: int, budget: int, targets: dict, symbol: str):
+    """Grow the ``arity``-ary clone until every target has a witness, the
+    closure is complete or the budget is spent.  ``targets`` maps keys to
+    (accepts, identities): a key's witness is the first table in clone
+    order that ``accepts``, certified against the identities on ``symbol``.
+    Returns (status, {key: TermOperation}, clone size, complete)."""
+    found: dict = {}
+    scanned, clone, complete = 0, [], False
+    for clone, complete, exhausted in _clone_rounds(a, arity, budget):
+        for table, term in clone[scanned:]:
+            for key, (accepts, _) in targets.items():
+                if key not in found and accepts(table):
+                    found[key] = (table, term)
+        scanned = len(clone)
+        if len(found) == len(targets) or complete or exhausted:
+            break
+
+    witnesses = {
+        key: _certify(a, arity, *found[key], identities, symbol)
+        for key, (_, identities) in targets.items()
+        if key in found
+    }
+    if len(witnesses) == len(targets):
+        status = SearchStatus.FOUND
+    elif complete:
+        status = SearchStatus.ABSENT
+    else:
+        status = SearchStatus.INCONCLUSIVE
+    return status, witnesses, len(clone), complete
 
 
 def _subtractive_table(table, e: int, size: int) -> bool:
@@ -309,33 +353,14 @@ def find_e_subtractive_terms(
             if not 0 <= e < a.size:
                 raise ValueError(f"element {e} out of range")
 
-    found: dict[int, TermOperation] = {}
-    scanned = 0
-    clone: list[TermOperation] = []
-    complete = False
-    exhausted = False
-    for clone, complete, exhausted in _clone_rounds(a, 2, budget):
-        for op in clone[scanned:]:
-            for e in targets:
-                if e not in found and _subtractive_table(op.table, e, a.size):
-                    found[e] = op
-        scanned = len(clone)
-        if len(found) == len(targets):
-            break
-        if complete or exhausted:
-            break
-
-    terms = tuple((e, found[e]) for e in targets if e in found)
-    for e, op in terms:
-        _certify(op, [f"s(x, x) = {e}", f"s(x, {e}) = x"], "s")
-    missing = tuple(e for e in targets if e not in found)
-    if not missing:
-        status = SearchStatus.FOUND
-    elif complete:
-        status = SearchStatus.ABSENT
-    else:
-        status = SearchStatus.INCONCLUSIVE
-    return SubtractiveSearch(status, terms, missing, len(clone), complete)
+    status, witnesses, clone_size, complete = _search(a, 2, budget, {
+        e: (lambda table, e=e: _subtractive_table(table, e, a.size),
+            [f"s(x, x) = {e}", f"s(x, {e}) = x"])
+        for e in targets
+    }, "s")
+    missing = tuple(e for e in targets if e not in witnesses)
+    terms = tuple(witnesses.items())
+    return SubtractiveSearch(status, terms, missing, clone_size, complete)
 
 
 @dataclass(frozen=True)
@@ -361,28 +386,11 @@ def find_maltsev_term(
     a: FiniteAlgebra, budget: int = DEFAULT_CLONE_BUDGET
 ) -> MaltsevSearch:
     """Search the ternary clone for p with p(x, x, y) = y and p(x, y, y) = x."""
-    scanned = 0
-    clone: list[TermOperation] = []
-    complete = False
-    witness: TermOperation | None = None
-    for clone, complete, exhausted in _clone_rounds(a, 3, budget):
-        for op in clone[scanned:]:
-            if witness is None and _maltsev_table(op.table, a.size):
-                witness = op
-        scanned = len(clone)
-        if witness is not None:
-            break
-        if complete or exhausted:
-            break
-
-    if witness is not None:
-        _certify(witness, ["p(x, x, y) = y", "p(x, y, y) = x"], "p")
-        status = SearchStatus.FOUND
-    elif complete:
-        status = SearchStatus.ABSENT
-    else:
-        status = SearchStatus.INCONCLUSIVE
-    return MaltsevSearch(status, witness, len(clone), complete)
+    status, witnesses, clone_size, complete = _search(a, 3, budget, {
+        "p": (lambda table: _maltsev_table(table, a.size),
+              ["p(x, x, y) = y", "p(x, y, y) = x"])
+    }, "p")
+    return MaltsevSearch(status, witnesses.get("p"), clone_size, complete)
 
 
 @dataclass(frozen=True)
@@ -412,126 +420,106 @@ def substitution_graph(
     f2 = binary.as_algebra(f"{a.name or 'A'}.free2")
     f1 = unary.as_algebra(f"{a.name or 'A'}.free1")
 
-    g0_map = []
-    g1_map = []
-    for op in binary:
-        at_e = tuple(op.table[x * size + e] for x in range(size))
-        at_diag = tuple(op.table[x * size + x] for x in range(size))
-        g0_map.append(unary.index[at_e])
-        g1_map.append(unary.index[at_diag])
-    g0 = Homomorphism(f2, f1, tuple(g0_map))
-    g1 = Homomorphism(f2, f1, tuple(g1_map))
+    def substitute(source, target, cells):
+        # each source element to the target element whose table it reads at cells
+        return tuple(
+            target.index[tuple(map(op.table.__getitem__, cells))] for op in source
+        )
 
-    delta_map = []
-    for op in unary:
-        as_binary = tuple(op.table[x] for x in range(size) for _ in range(size))
-        delta_map.append(binary.index[as_binary])
-    delta = Homomorphism(f1, f2, tuple(delta_map))
+    at_e = [x * size + e for x in range(size)]
+    at_diagonal = [x * size + x for x in range(size)]
+    as_binary = [x for x in range(size) for _ in range(size)]
+    g0 = Homomorphism(f2, f1, substitute(binary, unary, at_e))
+    g1 = Homomorphism(f2, f1, substitute(binary, unary, at_diagonal))
+    delta = Homomorphism(f1, f2, substitute(unary, binary, as_binary))
     return SubstitutionGraph(g0, g1, delta, binary, unary)
 
 
 # --- identity verification ---------------------------------------------------
 
-_TOKEN_RE = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*|\d+|[(),=])")
+_TOKEN_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*|\d+|[(),=])|(\S)")
 
 
 def _tokenize(text: str) -> list[str]:
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                raise ValueError(f"bad character in identity: {text[pos:]!r}")
-            break
+    for m in _TOKEN_RE.finditer(text):
+        if m.group(2):
+            raise ValueError(f"bad character in identity: {text[m.start():]!r}")
         tokens.append(m.group(1))
-        pos = m.end()
     return tokens
 
 
 class _IdentityParser:
-    def __init__(self, tokens: list[str], algebra: FiniteAlgebra, symbol: str, t_arity: int):
-        self.tokens = tokens
-        self.pos = 0
+    """Parses ``lhs = rhs`` into two Var/App trees whose App symbols cannot
+    shadow each other: a signature symbol keeps its name, the candidate
+    term is None and an element literal is its int value."""
+
+    def __init__(self, identity: str, algebra: FiniteAlgebra, symbol: str, t_arity: int):
+        if identity.count("=") != 1:
+            raise ValueError(f"identity needs exactly one '=': {identity!r}")
+        self.identity = identity
+        self.tokens = _tokenize(identity)[::-1]  # a stack: next token last
         self.algebra = algebra
         self.symbol = symbol
         self.t_arity = t_arity
         self.variables: set[int] = set()
 
+    def parse(self) -> tuple[Term, Term]:
+        lhs = self.parse_term()
+        self.expect("=")
+        rhs = self.parse_term()
+        if self.peek() is not None:
+            raise ValueError(f"trailing tokens in {self.identity!r}")
+        return lhs, rhs
+
     def peek(self) -> str | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+        return self.tokens[-1] if self.tokens else None
 
     def take(self) -> str:
-        tok = self.peek()
-        if tok is None:
+        if not self.tokens:
             raise ValueError("identity ended unexpectedly")
-        self.pos += 1
-        return tok
+        return self.tokens.pop()
 
     def expect(self, tok: str):
         got = self.take()
         if got != tok:
             raise ValueError(f"expected {tok!r}, got {got!r}")
 
-    def parse_term(self):
+    def parse_term(self) -> Term:
         tok = self.take()
         if tok.isdigit():
             value = int(tok)
             if value >= self.algebra.size:
                 raise ValueError(f"element literal {value} out of range")
-            return ("lit", value)
-        if self.peek() == "(":
-            self.take()
-            args = []
-            if self.peek() != ")":
+            return App(value, ())
+        if self.peek() != "(":
+            return self._resolve(tok, None)
+        self.take()
+        args = []
+        if self.peek() != ")":
+            args.append(self.parse_term())
+            while self.peek() == ",":
+                self.take()
                 args.append(self.parse_term())
-                while self.peek() == ",":
-                    self.take()
-                    args.append(self.parse_term())
-            self.expect(")")
-            return self._apply(tok, tuple(args))
-        return self._atom(tok)
+        self.expect(")")
+        return self._resolve(tok, tuple(args))
 
-    def _apply(self, name: str, args: tuple):
-        if name == self.symbol:
-            if len(args) != self.t_arity:
-                raise ValueError(
-                    f"{name} takes {self.t_arity} arguments, got {len(args)}"
-                )
-            return ("t", args)
-        if name in self.algebra.signature:
-            arity = self.algebra.signature.arity(name)
-            if len(args) != arity:
-                raise ValueError(f"{name} takes {arity} arguments, got {len(args)}")
-            return ("op", name, args)
-        raise ValueError(f"unknown symbol {name!r}")
-
-    def _atom(self, name: str):
-        if name in _VAR_NAMES:
-            index = _VAR_NAMES.index(name)
-            self.variables.add(index)
-            return ("var", index)
-        if name == self.symbol and self.t_arity == 0:
-            return ("t", ())
-        if name in self.algebra.signature:
-            if self.algebra.signature.arity(name) != 0:
-                raise ValueError(f"{name} needs arguments")
-            return ("op", name, ())
-        raise ValueError(f"unknown name {name!r}")
-
-
-def _eval_node(node, t: TermOperation, algebra: FiniteAlgebra, values: dict[int, int]) -> int:
-    kind = node[0]
-    if kind == "lit":
-        return node[1]
-    if kind == "var":
-        return values[node[1]]
-    if kind == "t":
-        args = tuple(_eval_node(c, t, algebra, values) for c in node[1])
-        return t.table[_encode(args, algebra.size)]
-    _, sym, children = node
-    args = tuple(_eval_node(c, t, algebra, values) for c in children)
-    return algebra.apply(sym, args)
+    def _resolve(self, name: str, args: tuple | None) -> Term:
+        # bare (args None): a variable, else the candidate if nullary, else
+        # a signature constant; applied: the candidate, else a signature symbol
+        if args is None and name in _VAR_NAMES:
+            self.variables.add(_VAR_NAMES.index(name))
+            return Var(_VAR_NAMES.index(name))
+        if name == self.symbol and (args is not None or self.t_arity == 0):
+            key, arity = None, self.t_arity
+        elif name in self.algebra.signature:
+            key, arity = name, self.algebra.signature.arity(name)
+        else:
+            raise ValueError(f"unknown symbol {name!r}")
+        args = args or ()
+        if len(args) != arity:
+            raise ValueError(f"{name} takes {arity} arguments, got {len(args)}")
+        return App(key, args)
 
 
 @dataclass(frozen=True)
@@ -550,25 +538,17 @@ def verify_term_identities(
     for the candidate term, variables x/y/z and element literals, e.g.
     ``s(x, x) = 0``.  Returns the first failing assignment if any."""
     a = t.algebra
+    tables: dict = {sym: table for sym, _, table in a.operations()}
+    tables[None] = t.table
+    tables.update((value, (value,)) for value in a.carrier)
     for identity in identities:
-        if identity.count("=") != 1:
-            raise ValueError(f"identity needs exactly one '=': {identity!r}")
-        lhs_text, rhs_text = identity.split("=")
-        parser = _IdentityParser(_tokenize(lhs_text), a, symbol, t.arity)
-        lhs = parser.parse_term()
-        if parser.peek() is not None:
-            raise ValueError(f"trailing tokens in {identity!r}")
-        rparser = _IdentityParser(_tokenize(rhs_text), a, symbol, t.arity)
-        rparser.variables = parser.variables
-        rhs = rparser.parse_term()
-        if rparser.peek() is not None:
-            raise ValueError(f"trailing tokens in {identity!r}")
-        variables = sorted(rparser.variables)
-        for combo in itertools.product(a.carrier, repeat=len(variables)):
-            values = dict(zip(variables, combo))
-            if _eval_node(lhs, t, a, values) != _eval_node(rhs, t, a, values):
-                assignment = tuple(
-                    (variable_name(v), values[v]) for v in variables
-                )
-                return IdentityVerdict(False, identity, assignment)
+        parser = _IdentityParser(identity, a, symbol, t.arity)
+        lhs, rhs = parser.parse()
+        variables = sorted(parser.variables)
+        columns = dict(zip(variables, _projections(a.size, len(variables))))
+        left, right = (_evaluate(side, tables, a.size, columns) for side in (lhs, rhs))
+        values = _first_mismatch(left, right, a.size, len(variables))
+        if values is not None:
+            assignment = tuple(zip(map(variable_name, variables), values))
+            return IdentityVerdict(False, identity, assignment)
     return IdentityVerdict(True)

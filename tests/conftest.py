@@ -119,3 +119,19 @@ def set3():
 @pytest.fixture(scope="session")
 def semilattice01():
     return sc.FiniteAlgebra(sc.Signature((("max", 2),)), 2, ((0, 1, 1, 1),), "semilattice01")
+
+
+@pytest.fixture
+def incoherent_clone(monkeypatch):
+    """Make the clone pair every table it hands out with the tree of the
+    first projection, so a witness's tree no longer evaluates to its
+    table; only certification can notice."""
+    from starcheck import terms
+
+    rounds = terms._clone_rounds
+
+    def lying(a, n, budget):
+        for elements, complete, exhausted in rounds(a, n, budget):
+            yield [(table, sc.Var(0)) for table, _ in elements], complete, exhausted
+
+    monkeypatch.setattr(terms, "_clone_rounds", lying)

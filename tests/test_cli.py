@@ -163,6 +163,19 @@ class TestExitCodes:
         assert code == 4
         assert "internal error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["e-subtractive", "maltsev"])
+    def test_incoherent_witness_tree_exit(self, incoherent_clone, kind, capsys):
+        # a witness whose tree does not evaluate to its table is a fault in
+        # the search (4), not a usage error (2)
+        code = main(
+            ["find-terms", "--algebra", "corpus/groupZ2.alg", "--kind", kind,
+             "--context", "proto", "--machine"],
+            out=io.StringIO(),
+        )
+        err = capsys.readouterr().err
+        assert code == 4
+        assert "internal error" in err and "does not evaluate" in err
+
     def test_unexpected_exception_is_internal_error(self, monkeypatch, capsys):
         # any fault inside a command exits 4, not 1 (FAIL), and prints no
         # traceback

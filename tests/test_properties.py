@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import starcheck as sc
 from starcheck.algebra import _encode
-from starcheck.terms import App, Var, _clone_rounds, term_text
+from starcheck.terms import App, Var, _clone_rounds, term_text, variable_name
 
 from conftest import all_maps, all_partitions, compatible_partition, empty_set_algebra
 
@@ -192,7 +192,7 @@ def test_clone_rounds_match_reference(a, n, max_elements):
     # budgets of 1 to 20 elements: small ones run out inside a round
     budget = max_elements * a.size**n
     rounds = [
-        ([(op.table, op.text) for op in elements], complete, exhausted)
+        ([(table, term_text(term)) for table, term in elements], complete, exhausted)
         for elements, complete, exhausted in _clone_rounds(a, n, budget)
     ]
     assert rounds == list(reference_clone_rounds(a, n, budget))
@@ -229,6 +229,116 @@ def test_term_table_matches_naive_evaluator(case):
         for assignment in itertools.product(a.carrier, repeat=arity)
     )
     assert sc.term_table(term, a, arity) == expected
+
+
+@st.composite
+def identity_cases(draw):
+    """A candidate term operation of arity 0 to 2, a name for it (possibly
+    a signature symbol's), and one to three identities over it as
+    (text, lhs, rhs).  Sides are trees of ("var", index), ("lit", value),
+    ("op", symbol, args) and ("t", args), drawn only where the text
+    resolves to them: ``name(...)`` always names the candidate, and a bare
+    name is a variable, else the candidate if it is nullary, else a
+    nullary signature symbol."""
+    a = draw(mixed_algebras())
+    t_arity = draw(st.integers(0, 2))
+    constants = [App(sym, ()) for sym, k, _ in a.operations() if k == 0]
+    pool = [Var(i) for i in range(t_arity)] + constants
+    if not pool:
+        t_arity, pool = 1, [Var(0)]
+    positive = [(sym, k) for sym, k, _ in a.operations() if k > 0]
+    for _ in range(draw(st.integers(0, 3)) if positive else 0):
+        sym, k = draw(st.sampled_from(positive))
+        args = draw(st.lists(st.sampled_from(pool), min_size=k, max_size=k))
+        pool.append(App(sym, tuple(args)))
+    term = draw(st.sampled_from(pool))
+    t = sc.TermOperation(a, t_arity, sc.term_table(term, a, t_arity), term)
+    symbol = draw(st.sampled_from(["s"] + [sym for sym, _ in a.signature.symbols]))
+    ops = [
+        (sym, k)
+        for sym, k, _ in a.operations()
+        if sym != symbol or (k == 0 and t_arity > 0)
+    ]
+    count = draw(st.integers(0, 3))
+    variables = sorted(draw(st.permutations(range(3)))[:count])
+    leaves = [
+        kind
+        for kind in (
+            [("var", v) for v in variables],
+            [("lit", value) for value in a.carrier],
+            [("op", sym, ()) for sym, k in ops if k == 0],
+            [("t", ())] if t_arity == 0 else [],
+        )
+        if kind
+    ]
+    branches = [(sym, k) for sym, k in ops if k > 0]
+    if t_arity > 0:
+        branches.append((None, t_arity))
+
+    def side(depth):
+        if depth == 0 or not branches or draw(st.booleans()):
+            return draw(st.sampled_from(draw(st.sampled_from(leaves))))
+        sym, k = draw(st.sampled_from(branches))
+        args = tuple(side(depth - 1) for _ in range(k))
+        return ("t", args) if sym is None else ("op", sym, args)
+
+    def text(node):
+        if node[0] == "var":
+            return variable_name(node[1])
+        if node[0] == "lit":
+            return str(node[1])
+        name, args = (symbol, node[1]) if node[0] == "t" else node[1:]
+        return f"{name}({', '.join(map(text, args))})" if args else name
+
+    identities = []
+    for _ in range(draw(st.integers(1, 3))):
+        lhs = side(2)
+        rhs = lhs if draw(st.integers(0, 3)) == 0 else side(2)
+        identities.append((f"{text(lhs)} = {text(rhs)}", lhs, rhs))
+    return t, symbol, identities
+
+
+def pointwise_value(node, t, values):
+    if node[0] == "var":
+        return values[node[1]]
+    if node[0] == "lit":
+        return node[1]
+    if node[0] == "t":
+        args = tuple(pointwise_value(c, t, values) for c in node[1])
+        return t.table[_encode(args, t.algebra.size)]
+    _, sym, children = node
+    args = tuple(pointwise_value(c, t, values) for c in children)
+    return t.algebra.apply(sym, args)
+
+
+def pointwise_verdict(t, identities):
+    """(holds, identity, assignment) by evaluating both sides at every
+    assignment to their variables, in lexicographic order."""
+
+    def variables(node):
+        if node[0] == "var":
+            return {node[1]}
+        if node[0] == "lit":
+            return set()
+        return set().union(*map(variables, node[-1]))
+
+    for text, lhs, rhs in identities:
+        names = sorted(variables(lhs) | variables(rhs))
+        for combo in itertools.product(t.algebra.carrier, repeat=len(names)):
+            values = dict(zip(names, combo))
+            if pointwise_value(lhs, t, values) != pointwise_value(rhs, t, values):
+                assignment = tuple((variable_name(v), values[v]) for v in names)
+                return False, text, assignment
+    return True, None, None
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(identity_cases())
+def test_verify_term_identities_matches_pointwise_evaluation(case):
+    t, symbol, identities = case
+    verdict = sc.verify_term_identities(t, [text for text, _, _ in identities], symbol)
+    expected = pointwise_verdict(t, identities)
+    assert (verdict.holds, verdict.identity, verdict.assignment) == expected
 
 
 @PROPERTY_SETTINGS

@@ -116,6 +116,14 @@ class TestSubtractiveSearch:
         with pytest.raises(RuntimeError, match="fails"):
             sc.find_e_subtractive_terms(bool2)
 
+    def test_incoherent_witness_tree_is_an_internal_error(
+        self, incoherent_clone, bool2
+    ):
+        # the witness tables are right, so the identities hold on them; only
+        # re-evaluating the tree shows that it is x, not and(x, not(y))
+        with pytest.raises(RuntimeError, match="does not evaluate"):
+            sc.find_e_subtractive_terms(bool2)
+
     def test_deterministic(self, ring_z4):
         first = sc.find_e_subtractive_terms(ring_z4)
         second = sc.find_e_subtractive_terms(ring_z4)
@@ -143,6 +151,12 @@ class TestMaltsevSearch:
 
         monkeypatch.setattr(terms, "_maltsev_table", lambda table, n: True)
         with pytest.raises(RuntimeError, match="fails"):
+            sc.find_maltsev_term(group_z2)
+
+    def test_incoherent_witness_tree_is_an_internal_error(
+        self, incoherent_clone, group_z2
+    ):
+        with pytest.raises(RuntimeError, match="does not evaluate"):
             sc.find_maltsev_term(group_z2)
 
     def test_monoid_absent(self, monoid01):
