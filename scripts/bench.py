@@ -13,9 +13,13 @@ Times, each call in full, with `time.perf_counter`:
 - `direct_power(ringZ4^2, 2)`, the square that enumeration builds, and
   `enumerate_reflexive_compatible` on ringZ4^2 (power and enumeration);
 - the law-compose-star loop of check-identities over the 512 x 512
-  relations of set3 under the total context, and `is_star_symmetric` on
-  every enumerated relation of monoid01^2 under pointed:0 (relation
-  compose/star and the symmetry checkers).
+  relations of set3 under the total context, `compose(star(s), r)` over
+  every pair of enumerated relations of monoid01^2 under pointed:0 (as
+  each permutability check of audit composes), the law-inverse-image-star
+  loop of check-identities over the 27 self-maps and 512 relations of
+  set3 under the total context, and `is_star_symmetric` on every
+  enumerated relation of monoid01^2 under pointed:0 (relation
+  compose/star/inverse image and the symmetry checkers).
 Every starcheck cache is cleared before each call, so each one starts as
 cold as in a fresh process.  A case's figure is the median of its
 repeats.  One invocation times every label given, each label importing
@@ -32,6 +36,7 @@ done the same work.
 """
 
 import argparse
+import itertools
 import json
 import os
 import pathlib
@@ -167,7 +172,30 @@ def cases(sc):
         failed = sum(not sc.is_star_symmetric(ctx, r).holds for r in relations)
         return f"relations={len(relations)} failed={failed}"
 
+    def compose_stars():
+        """compose(star(s), r) over every pair, as audit's permutability
+        checks compose."""
+        ctx = sc.Pointed(0)
+        stars = [sc.star(ctx, s) for s in relations]
+        pairs = sum(len(sc.compose(star_s, r)) for star_s in stars for r in relations)
+        return f"cases={len(relations) ** 2} pairs={pairs}"
+
+    maps = [sc.Homomorphism(set3, set3, m) for m in itertools.product(range(3), repeat=3)]
+
+    def inverse_image_star():
+        """The law-inverse-image-star loop of check-identities on set3."""
+        ctx = sc.Total()
+        held = sum(
+            sc.star(ctx, sc.inverse_image(f, s))
+            == sc.star(ctx, sc.inverse_image(f, sc.star(ctx, s)))
+            for f in maps
+            for s in family
+        )
+        return f"cases={len(maps) * len(family)} held={held}"
+
     out.append(("law-compose-star set3 total", compose_star))
+    out.append(("compose star x relation monoid01^2", compose_stars))
+    out.append(("law-inverse-image-star set3 total", inverse_image_star))
     out.append(("is_star_symmetric monoid01^2 pointed:0", symmetry))
     return out
 

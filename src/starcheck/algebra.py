@@ -100,9 +100,14 @@ def _compose(table, size: int, arg_tables, tab_len: int) -> Iterator[int]:
     return map(table.__getitem__, idx)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteAlgebra:
-    """A finite carrier {0..size-1} with one value table per symbol."""
+    """A finite carrier {0..size-1} with one value table per symbol.
+
+    Equality is structural (signature, size and tables; never the name),
+    but an algebra is first compared by identity: the relation calculus
+    checks carriers on every call, and those are almost always the same
+    object."""
 
     signature: Signature
     size: int
@@ -126,6 +131,15 @@ class FiniteAlgebra:
         # once, not per lru_cache lookup keyed by this algebra; set like a
         # field, since materializing __dict__ would slow every attribute load
         object.__setattr__(self, "_hash", hash((self.signature, self.size, self.tables)))
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.signature, self.size, self.tables) == (
+            other.signature, other.size, other.tables
+        )
 
     def __hash__(self) -> int:
         return self._hash

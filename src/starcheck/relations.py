@@ -8,6 +8,11 @@ pairs whose first component is trivial.  Composition, opposites, kernel
 pairs, inverse images and the star operator live here too; the star of a
 relation keeps exactly the pairs whose first component is a trivial
 element of the context, an AND with the null-row mask.
+
+Composition works on whole masks, column by row: `_compose_masks` ORs,
+over each middle element y, column y of the first relation (one bit per
+row) times row y of the second, one big-int product per middle element.
+An inverse image f^-1(s) is f ; s ; f^op on the same kernel.
 """
 
 from __future__ import annotations
@@ -83,10 +88,6 @@ class Relation:
     def is_square(self) -> bool:
         return self.source == self.target
 
-    def row(self, a: int) -> int:
-        nt = self.target.size
-        return (self.mask >> (a * nt)) & ((1 << nt) - 1)
-
     @property
     def compatible(self) -> bool:
         if self._compatible is None:
@@ -130,16 +131,48 @@ def full_relation(a: FiniteAlgebra) -> Relation:
     return Relation(a, a, (1 << a.size * a.size) - 1, compatible=True)
 
 
+@functools.lru_cache(maxsize=None)
+def _column_bits(rows: int, width: int) -> int:
+    """One bit per row, at bits 0, width, 2 * width, ...: the mask that
+    reads one column out of a relation whose rows are width bits apart."""
+    return ((1 << rows * width) - 1) // ((1 << width) - 1)
+
+
+def _relayout(mask: int, rows: int, width: int, new_width: int) -> int:
+    """The same rows, moved from width bits apart to new_width bits apart;
+    every set bit must lie in the narrower of the two row widths."""
+    keep = (1 << min(width, new_width)) - 1
+    out = 0
+    for x in range(rows):
+        out |= (mask >> x * width & keep) << x * new_width
+    return out
+
+
+def _compose_masks(rmask: int, smask: int, nx: int, ny: int, nz: int) -> int:
+    """The mask of r ; s from the masks of r (nx by ny) and s (ny by nz).
+
+    Column y of r, one bit per row x, times row y of s puts a copy of that
+    row into every row x of the result; with the rows of r laid out at
+    least nz bits apart the copies never carry into each other, so the
+    composite is an OR of ny products.  Rows are re-laid at the common
+    width, and back, only when the middle and target sizes differ."""
+    width = nz if nz > ny else ny  # max(ny, nz) without a builtin call per composition
+    if width != ny:
+        rmask = _relayout(rmask, nx, ny, width)
+    column = _column_bits(nx, width)
+    row = (1 << nz) - 1
+    mask = 0
+    for y in range(ny):
+        mask |= (rmask >> y & column) * (smask >> y * nz & row)
+    return mask if width == nz else _relayout(mask, nx, width, nz)
+
+
 def compose(r: Relation, s: Relation) -> Relation:
     """First r, then s: pairs (x, z) with (x, y) in r and (y, z) in s for
     some middle y."""
     if r.target != s.source:
         raise ValueError("relations are not composable")
-    ny, nz = s.source.size, s.target.size
-    srows = [s.row(y) for y in range(ny)]
-    mask = 0
-    for x, y in _mask_pairs(r.mask, ny):
-        mask |= srows[y] << (x * nz)
+    mask = _compose_masks(r.mask, s.mask, r.source.size, s.source.size, s.target.size)
     hint = True if (r._compatible and s._compatible) else None
     return Relation(r.source, s.target, mask, compatible=hint)
 
@@ -170,15 +203,18 @@ def kernel_pair(f: Homomorphism) -> Relation:
 
 
 def inverse_image(f: Homomorphism, s: Relation) -> Relation:
-    """Pairs of the domain whose images land in s."""
+    """Pairs of the domain whose images land in s: f ; s ; f^op, composing
+    the masks of the graph of f and of its opposite.  The graph is
+    compatible because f is a homomorphism, so the result is whenever s
+    is."""
     if s.source != f.codomain or s.target != f.codomain:
         raise ValueError("relation must be square on the codomain of f")
-    n = f.domain.size
-    mask = 0
-    for a in range(n):
-        for b in range(n):
-            if (f.map[a], f.map[b]) in s:
-                mask |= 1 << (a * n + b)
+    nd, nc = f.domain.size, f.codomain.size
+    graph = graph_op = 0
+    for a, b in enumerate(f.map):
+        graph |= 1 << (a * nc + b)
+        graph_op |= 1 << (b * nd + a)
+    mask = _compose_masks(_compose_masks(graph, s.mask, nd, nc, nc), graph_op, nd, nc, nd)
     hint = True if s._compatible else None
     return Relation(f.domain, f.domain, mask, compatible=hint)
 

@@ -60,6 +60,40 @@ class TestParsing:
         assert sc.serialize_algebra(a) == text
 
 
+MONOID_TEXT = "algebra {name}\nsize {size}\nconst zero = 0\nop {op}/2 = [{table}]\n"
+
+
+def monoid_copy(name="monoid01", size=2, op="max", table="0 1 1 1"):
+    return sc.parse_algebra(MONOID_TEXT.format(name=name, size=size, op=op, table=table))
+
+
+class TestEquality:
+    def test_separately_parsed_copies_are_equal_whatever_their_names(self):
+        a, b = monoid_copy(), monoid_copy(name="other")
+        assert a is not b and a.name != b.name
+        assert a == b and not a != b
+        assert hash(a) == hash(b)
+
+    def test_copies_differing_in_structure_are_unequal(self):
+        a = monoid_copy()
+        others = [
+            monoid_copy(table="0 1 1 0"),
+            monoid_copy(size=3, table="0 1 2 1 1 2 2 2 2"),
+            monoid_copy(op="join"),
+        ]
+        for b in others:
+            assert a != b and not a == b
+
+    def test_never_equal_to_a_name(self, set3):
+        assert (set3 == "set3") is False
+        assert set3 != "set3"
+
+    def test_relations_over_equal_copies_are_equal(self):
+        a, b = monoid_copy(), monoid_copy(name="other")
+        r, s = sc.Relation(a, a, 0b1001), sc.Relation(b, b, 0b1001)
+        assert r == s and hash(r) == hash(s)
+
+
 class TestDirectPower:
     def test_power_one_is_identity_encoding(self, monoid01):
         p = sc.direct_power(monoid01, 1)

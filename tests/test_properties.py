@@ -545,6 +545,28 @@ def test_compose_matches_pair_set_definition(nx, ny, nz, data):
 
 
 @PROPERTY_SETTINGS
+@given(st.integers(1, 4), st.integers(1, 4), st.data())
+def test_opposite_matches_pair_set_definition(ns, nt, data):
+    x, y = empty_set_algebra(ns), empty_set_algebra(nt)
+    p = data.draw(pair_sets(ns, nt))
+    reversed_pairs = {(b, a) for a, b in p}
+    assert sc.opposite(sc.Relation.from_pairs(x, y, p)) == sc.Relation.from_pairs(y, x, reversed_pairs)
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(1, 4), st.integers(1, 4), st.data())
+def test_inverse_image_matches_pair_set_definition(nd, nc, data):
+    # every map between bare sets is a homomorphism, so the drawn maps
+    # include non-injective and non-surjective ones
+    d, c = empty_set_algebra(nd), empty_set_algebra(nc)
+    m = tuple(data.draw(st.lists(st.integers(0, nc - 1), min_size=nd, max_size=nd)))
+    q = data.draw(pair_sets(nc, nc))
+    expected = {(a, b) for a in d.carrier for b in d.carrier if (m[a], m[b]) in q}
+    pulled = sc.inverse_image(sc.Homomorphism(d, c, m), sc.Relation.from_pairs(c, c, q))
+    assert pulled == sc.Relation.from_pairs(d, d, expected)
+
+
+@PROPERTY_SETTINGS
 @given(mixed_algebras(), st.data())
 def test_relation_predicates_match_pair_set_definitions(a, data):
     p = data.draw(pair_sets(a.size, a.size))

@@ -119,6 +119,20 @@ class TestInverseImage:
             (0, 0), (0, 1), (1, 0), (1, 1), (0, 2), (1, 2), (2, 2)
         }
 
+    def test_relation_must_be_square_on_codomain(self, set3, set2):
+        f = sc.Homomorphism(set3, set2, (0, 0, 1))
+        for s in (sc.Relation(set3, set3, 0), sc.Relation(set2, set3, 0)):
+            with pytest.raises(ValueError, match="square on the codomain"):
+                sc.inverse_image(f, s)
+
+    def test_compatibility_hint_follows_the_relation(self, monoid01):
+        for f in all_maps(monoid01, monoid01):
+            for r in sc.enumerate_reflexive_compatible(monoid01).relations:
+                pulled = sc.inverse_image(f, r)
+                assert pulled._compatible is True and pulled.verify_compatible()
+            unknown = sc.Relation(monoid01, monoid01, 0b0110)
+            assert sc.inverse_image(f, unknown)._compatible is None
+
 
 class TestStar:
     def test_total_is_identity(self, set3):
