@@ -19,7 +19,11 @@ Times, each call in full, with `time.perf_counter`:
   loop of check-identities over the 27 self-maps and 512 relations of
   set3 under the total context, and `is_star_symmetric` on every
   enumerated relation of monoid01^2 under pointed:0 (relation
-  compose/star/inverse image and the symmetry checkers).
+  compose/star/inverse image and the symmetry checkers);
+- every command of `tests/cli_matrix.GOLDEN_RUNS` through
+  `starcheck.cli.main` from the repository root, with the caches cleared
+  before each command (end to end); its verdict is the exit codes and the
+  sha256 of the reports.
 Every starcheck cache is cleared before each call, so each one starts as
 cold as in a fresh process.  A case's figure is the median of its
 repeats.  One invocation times every label given, each label importing
@@ -36,6 +40,8 @@ done the same work.
 """
 
 import argparse
+import hashlib
+import io
 import itertools
 import json
 import os
@@ -197,6 +203,22 @@ def cases(sc):
     out.append(("compose star x relation monoid01^2", compose_stars))
     out.append(("law-inverse-image-star set3 total", inverse_image_star))
     out.append(("is_star_symmetric monoid01^2 pointed:0", symmetry))
+
+    sys.path.insert(0, str(ROOT / "tests"))
+    from cli_matrix import GOLDEN_RUNS
+
+    def golden_matrix():
+        from starcheck.cli import main
+
+        codes, digest = [], hashlib.sha256()
+        for _, argv in GOLDEN_RUNS:
+            clear_caches()
+            report = io.StringIO()
+            codes.append(str(main(argv, out=report)))
+            digest.update(report.getvalue().encode())
+        return f"exits={''.join(codes)} sha256={digest.hexdigest()}"
+
+    out.append(("golden matrix cli.main", golden_matrix))
     return out
 
 
@@ -226,6 +248,7 @@ def serve(src: str) -> None:
     as one JSON line, then time the case named on each input line and
     answer with the JSON line [seconds, verdict]."""
     sys.path.insert(0, str(pathlib.Path(src).resolve()))
+    os.chdir(ROOT)  # the golden commands name corpus files relative to it
     import starcheck as sc
 
     calls = dict(cases(sc))

@@ -1,9 +1,14 @@
 """Command-line surface: file formats, report emission, exit codes.
 
-Exit status is a pure function of the report: 1 if any check failed,
-3 if any check was inconclusive (budget), 2 for usage and parse errors,
-0 otherwise; 4 is reserved for internal faults (any other exception, such
-as a witness failing its own identities), which no verdict can produce.
+Each subcommand declares only the flags it reads and names its command
+function with ``set_defaults(run=...)``; a command reads the argparse
+namespace directly.  Exit status is a pure function of the report: 1 if
+any check failed, 3 if any check was inconclusive (budget), 0 otherwise.
+2 is bad input: a `ParseError` or `ContextError`, a `UsageError` (an
+unknown context, a non-positive budget, a file that is not UTF-8, a
+search the algebra cannot serve) or an unreadable file.  4 is an internal
+fault: any other exception, including a `ValueError` raised inside a
+kernel or a witness failing its own identities; no verdict produces it.
 Machine-mode reports are line oriented and byte-stable across runs.
 check-identities finds its endomorphisms with `algebra.HomomorphismSearch`
 under `_ENDO_NODE_BUDGET` nodes, with no cap on the carrier size.
@@ -14,7 +19,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import IO, Iterable
 
 from .algebra import (
@@ -22,7 +27,9 @@ from .algebra import (
     FiniteAlgebra,
     Homomorphism,
     HomomorphismSearch,
+    _content_lines,
     all_congruences,
+    constants_subalgebra,
     parse_algebra,
 )
 from .checkers import (
@@ -36,7 +43,7 @@ from .checkers import (
     is_star_symmetric,
 )
 from .contexts import IdealContext, Pointed, Total, parse_context, resolve_base, validate_context
-from .errors import BudgetError, ContextError, ParseError
+from .errors import BudgetError, ContextError, ParseError, UsageError
 from .relations import (
     Relation,
     compose,
@@ -66,24 +73,6 @@ EXIT_INTERNAL = 4
 _ENDO_NODE_BUDGET = sum(5**k for k in range(1, 6))
 
 
-@dataclass
-class RunConfiguration:
-    command: str
-    algebra_path: str
-    relation_path: str | None = None
-    context_spec: str = "total"
-    prop: str | None = None
-    kind: str | None = None
-    max_relations: int = DEFAULT_RELATION_BUDGET
-    clone_budget: int = DEFAULT_CLONE_BUDGET
-    machine: bool = False
-    out: IO[str] = field(default_factory=lambda: sys.stdout)
-
-    def __post_init__(self):
-        if self.max_relations < 1 or self.clone_budget < 1:
-            raise ValueError("budgets must be positive")
-
-
 # --- relation document format -------------------------------------------------
 
 
@@ -99,11 +88,7 @@ def parse_relation(
 ) -> ParsedRelation:
     """Parse a relation document: ``relation <name>``, ``algebra <name>``,
     then one ``pair a b`` line per element."""
-    lines = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].rstrip()
-        if stripped.strip():
-            lines.append((lineno, stripped))
+    lines = list(_content_lines(text))
     if len(lines) < 2:
         raise ParseError(filename, 1, 1, "expected relation and algebra headers")
 
@@ -168,66 +153,67 @@ def _fmt_table(table: Iterable[int]) -> str:
 
 
 class _Report:
-    """Collects verdict-bearing lines; the exit code is derived from them."""
+    """Collects verdict-bearing lines after the run header; the exit code
+    is derived from them."""
 
-    def __init__(self, cfg: RunConfiguration):
-        self.cfg = cfg
-        self.lines: list[str] = []
+    def __init__(self, args: argparse.Namespace, out: IO[str], **header: str):
+        self.machine = args.machine
+        self.out = out
         self.verdicts: list[Verdict] = []
+        fields = [f"{k}={v}" for k, v in header.items()]
+        if self.machine:
+            self.lines = [" ".join([f"RUN command={args.command}", *fields])]
+        else:
+            self.lines = [f"{args.command}: {' '.join(fields)}"]
 
     def raw(self, line: str):
         self.lines.append(line)
 
+    def say(self, machine: str, human: str):
+        """Add the line of the current output mode."""
+        self.lines.append(machine if self.machine else human)
+
     def check(self, verdict: Verdict):
         self.verdicts.append(verdict)
 
-    @property
-    def exit_code(self) -> int:
-        if any(v is Verdict.FAIL for v in self.verdicts):
+    def emit(self) -> int:
+        self.out.write("\n".join(self.lines) + "\n")
+        if Verdict.FAIL in self.verdicts:
             return EXIT_FAIL
-        if any(v is Verdict.INCONCLUSIVE for v in self.verdicts):
+        if Verdict.INCONCLUSIVE in self.verdicts:
             return EXIT_INCONCLUSIVE
         return EXIT_PASS
-
-    def emit(self) -> int:
-        self.cfg.out.write("\n".join(self.lines) + "\n")
-        return self.exit_code
-
-
-def _run_header(report: _Report, cfg: RunConfiguration, **extra: str):
-    if cfg.machine:
-        parts = [f"RUN command={cfg.command}"]
-        parts += [f"{k}={v}" for k, v in extra.items()]
-        report.raw(" ".join(parts))
-    else:
-        detail = " ".join(f"{k}={v}" for k, v in extra.items())
-        report.raw(f"{cfg.command}: {detail}")
 
 
 # --- commands -------------------------------------------------------------
 
 
-def _load_algebra(cfg: RunConfiguration) -> FiniteAlgebra:
-    with open(cfg.algebra_path, encoding="utf-8") as fh:
-        text = fh.read()
-    return parse_algebra(text, filename=os.path.basename(cfg.algebra_path))
+def _read_text(path: str) -> str:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError:
+        raise UsageError(f"{path} is not a UTF-8 text file") from None
 
 
-def _context_for(cfg: RunConfiguration, a: FiniteAlgebra) -> IdealContext:
-    ctx = parse_context(cfg.context_spec)
+def _load_algebra(args: argparse.Namespace) -> FiniteAlgebra:
+    return parse_algebra(_read_text(args.algebra), filename=os.path.basename(args.algebra))
+
+
+def _context_for(args: argparse.Namespace, a: FiniteAlgebra) -> IdealContext:
+    ctx = parse_context(args.context)
     validate_context(ctx, a)
     return ctx
 
 
-def _cmd_audit(cfg: RunConfiguration) -> int:
-    a = _load_algebra(cfg)
-    ctx = _context_for(cfg, a)
-    report = _Report(cfg)
-    _run_header(report, cfg, algebra=a.name, context=str(ctx))
-    audit = audit_algebra(ctx, a, max_relations=cfg.max_relations)
+def _cmd_audit(args: argparse.Namespace, out: IO[str]) -> int:
+    a = _load_algebra(args)
+    ctx = _context_for(args, a)
+    report = _Report(args, out, algebra=a.name, context=str(ctx))
+    audit = audit_algebra(ctx, a, max_relations=args.max_relations)
     for cond in audit.conditions:
         report.check(cond.verdict)
-        if cfg.machine:
+        if report.machine:
             parts = [f"CHECK {cond.key} {cond.verdict.value}", f"examined={cond.examined}"]
             if cond.witnesses:
                 parts.append(f"failures={len(cond.witnesses)}")
@@ -265,160 +251,102 @@ def _cmd_audit(cfg: RunConfiguration) -> int:
     return report.emit()
 
 
-def _cmd_congruences(cfg: RunConfiguration) -> int:
-    a = _load_algebra(cfg)
-    report = _Report(cfg)
-    _run_header(report, cfg, algebra=a.name)
+def _cmd_congruences(args: argparse.Namespace, out: IO[str]) -> int:
+    a = _load_algebra(args)
+    report = _Report(args, out, algebra=a.name)
     congruences = all_congruences(a)
     for i, c in enumerate(congruences):
-        if cfg.machine:
-            report.raw(f"CONGRUENCE {i} partition={_fmt_partition(c)}")
-        else:
-            report.raw(f"  {_fmt_partition(c)}")
-    if cfg.machine:
-        report.raw(f"COUNT congruences={len(congruences)}")
-    else:
-        report.raw(f"  total: {len(congruences)}")
+        report.say(f"CONGRUENCE {i} partition={_fmt_partition(c)}", f"  {_fmt_partition(c)}")
+    report.say(f"COUNT congruences={len(congruences)}", f"  total: {len(congruences)}")
     return report.emit()
 
 
-def _cmd_check_relation(cfg: RunConfiguration) -> int:
-    a = _load_algebra(cfg)
-    ctx = _context_for(cfg, a)
-    with open(cfg.relation_path, encoding="utf-8") as fh:
-        text = fh.read()
-    parsed = parse_relation(text, a, filename=os.path.basename(cfg.relation_path))
-    report = _Report(cfg)
-    _run_header(
-        report, cfg,
+def _cmd_check_relation(args: argparse.Namespace, out: IO[str]) -> int:
+    a = _load_algebra(args)
+    ctx = _context_for(args, a)
+    text = _read_text(args.relation)
+    parsed = parse_relation(text, a, filename=os.path.basename(args.relation))
+    report = _Report(
+        args, out,
         algebra=a.name, relation=parsed.name,
-        context=str(ctx), property=cfg.prop,
+        context=str(ctx), property=args.property,
     )
     for dup in parsed.duplicates:
         report.raw(f"WARN duplicate-pair={_fmt_pair(dup)}")
     r = parsed.relation
     compat = "true" if r.compatible else "false"
-    if cfg.machine:
-        report.raw(f"INFO relation={pair_set_text(r)} compatible={compat}")
-    else:
-        report.raw(f"  relation {pair_set_text(r)} compatible={compat}")
+    report.say(
+        f"INFO relation={pair_set_text(r)} compatible={compat}",
+        f"  relation {pair_set_text(r)} compatible={compat}",
+    )
 
-    if cfg.prop == "left-star-symmetric":
+    if args.property == "left-star-symmetric":
         verdict = is_left_star_symmetric(ctx, r)
     else:
         verdict = is_star_symmetric(ctx, r)
-    report.check(Verdict.PASS if verdict.holds else Verdict.FAIL)
-    value = "PASS" if verdict.holds else "FAIL"
-    if cfg.machine:
-        parts = [f"CHECK {cfg.prop} {value}"]
-        if verdict.witness is not None:
-            parts.append(f"witness={_fmt_pair(verdict.witness)}")
-            if verdict.from_opposite:
-                parts.append("side=opposite")
-        report.raw(" ".join(parts))
-    else:
-        line = f"  {cfg.prop}: {value}"
-        if verdict.witness is not None:
-            side = " in the opposite relation" if verdict.from_opposite else ""
-            line += f" (witness {_fmt_pair(verdict.witness)}{side})"
-        report.raw(line)
+    value = Verdict.PASS if verdict.holds else Verdict.FAIL
+    report.check(value)
+    machine = f"CHECK {args.property} {value.value}"
+    human = f"  {args.property}: {value.value}"
+    if verdict.witness is not None:
+        pair = _fmt_pair(verdict.witness)
+        machine += f" witness={pair}" + (" side=opposite" if verdict.from_opposite else "")
+        side = " in the opposite relation" if verdict.from_opposite else ""
+        human += f" (witness {pair}{side})"
+    report.say(machine, human)
     return report.emit()
 
 
-def _cmd_find_terms(cfg: RunConfiguration) -> int:
-    a = _load_algebra(cfg)
-    report = _Report(cfg)
-    if cfg.kind == "maltsev":
-        _run_header(report, cfg, algebra=a.name, kind=cfg.kind)
-        result = find_maltsev_term(a, budget=cfg.clone_budget)
-        complete = "true" if result.complete else "false"
-        if cfg.machine:
-            report.raw(f"INFO clone-size={result.clone_size} complete={complete}")
+def _cmd_find_terms(args: argparse.Namespace, out: IO[str]) -> int:
+    a = _load_algebra(args)
+    if args.kind == "maltsev":
+        report = _Report(args, out, algebra=a.name, kind=args.kind)
+        result = find_maltsev_term(a, budget=args.clone_budget)
+        clone = "ternary"
+        rows = [("maltsev-term", "maltsev term", result.term)]
+    else:
+        ctx = _context_for(args, a)
+        if isinstance(ctx, Total):
+            raise UsageError("subtractive term search needs a pointed or proto context")
+        if isinstance(ctx, Pointed):
+            targets = (resolve_base(ctx, a),)
         else:
-            report.raw(
-                f"  ternary clone: {result.clone_size} operations, complete={complete}"
-            )
-        if result.status is SearchStatus.FOUND:
-            report.check(Verdict.PASS)
-            if cfg.machine:
-                report.raw(
-                    f'CHECK maltsev-term PASS term="{result.term.text}" '
-                    f"table={_fmt_table(result.term.table)}"
-                )
-            else:
-                report.raw(f"  maltsev term: {result.term.text}")
-        elif result.status is SearchStatus.ABSENT:
-            report.check(Verdict.FAIL)
-            if cfg.machine:
-                report.raw(
-                    f"CHECK maltsev-term FAIL reason=clone-exhausted "
-                    f"clone-size={result.clone_size}"
-                )
-            else:
-                report.raw(
-                    f"  no maltsev term: the complete ternary clone of size "
-                    f"{result.clone_size} was exhausted"
-                )
-        else:
-            report.check(Verdict.INCONCLUSIVE)
-            if cfg.machine:
-                report.raw("CHECK maltsev-term INCONCLUSIVE reason=clone-budget")
-            else:
-                report.raw("  inconclusive: clone budget exhausted before the fixpoint")
-        return report.emit()
+            targets = tuple(sorted(constants_subalgebra(a)))
+        if not targets:
+            raise UsageError("the signature has no constants")
+        report = _Report(args, out, algebra=a.name, context=str(ctx), kind=args.kind)
+        result = find_e_subtractive_terms(a, elements=targets, budget=args.clone_budget)
+        clone = "binary"
+        found = dict(result.terms)
+        rows = [(f"subtractive-term[e={e}]", f"term for {e}", found.get(e)) for e in targets]
 
-    ctx = _context_for(cfg, a)
-    if isinstance(ctx, Total):
-        raise ValueError("subtractive term search needs a pointed or proto context")
-    _run_header(report, cfg, algebra=a.name, context=str(ctx), kind=cfg.kind)
-    if isinstance(ctx, Pointed):
-        targets: tuple[int, ...] | None = (resolve_base(ctx, a),)
-    else:
-        targets = None
-    result = find_e_subtractive_terms(a, elements=targets, budget=cfg.clone_budget)
+    size = result.clone_size
     complete = "true" if result.complete else "false"
-    if cfg.machine:
-        report.raw(f"INFO clone-size={result.clone_size} complete={complete}")
-    else:
-        report.raw(
-            f"  binary clone: {result.clone_size} operations, complete={complete}"
-        )
-    found = dict(result.terms)
-    all_targets = sorted(set(found) | set(result.missing))
-    for e in all_targets:
-        if e in found:
+    report.say(
+        f"INFO clone-size={size} complete={complete}",
+        f"  {clone} clone: {size} operations, complete={complete}",
+    )
+    for key, label, op in rows:
+        if op is not None:
             report.check(Verdict.PASS)
-            op = found[e]
-            if cfg.machine:
-                report.raw(
-                    f'CHECK subtractive-term[e={e}] PASS term="{op.text}" '
-                    f"table={_fmt_table(op.table)}"
-                )
-            else:
-                report.raw(f"  term for {e}: {op.text}")
+            report.say(
+                f'CHECK {key} PASS term="{op.text}" table={_fmt_table(op.table)}',
+                f"  {label}: {op.text}",
+            )
         elif result.status is SearchStatus.ABSENT:
             report.check(Verdict.FAIL)
-            if cfg.machine:
-                report.raw(
-                    f"CHECK subtractive-term[e={e}] FAIL reason=clone-exhausted "
-                    f"clone-size={result.clone_size}"
-                )
-            else:
-                report.raw(
-                    f"  no term for {e}: the complete binary clone of size "
-                    f"{result.clone_size} was exhausted"
-                )
+            report.say(
+                f"CHECK {key} FAIL reason=clone-exhausted clone-size={size}",
+                f"  no {label}: the complete {clone} clone of size {size} was exhausted",
+            )
         else:
             report.check(Verdict.INCONCLUSIVE)
-            if cfg.machine:
-                report.raw(
-                    f"CHECK subtractive-term[e={e}] INCONCLUSIVE reason=clone-budget"
-                )
-            else:
-                report.raw(f"  term for {e}: inconclusive, clone budget exhausted")
-    if not cfg.machine:
-        scope = "the variety generated by " + a.name
-        report.raw(f"  verdict certifies {scope}")
+            report.say(
+                f"CHECK {key} INCONCLUSIVE reason=clone-budget",
+                f"  {label}: inconclusive, clone budget exhausted",
+            )
+    if not report.machine:
+        report.raw(f"  verdict certifies the variety generated by {a.name}")
     return report.emit()
 
 
@@ -428,9 +356,9 @@ def _identity_family(a: FiniteAlgebra, ctx: IdealContext, budget: int):
         masks = range(1 << (a.size * a.size))
         return [Relation(a, a, m) for m in masks], False
     enum = enumerate_reflexive_compatible(a, budget=budget)
-    family = {r for r in enum.relations}
-    for c in all_congruences(a):
-        family.add(congruence_relation(c))
+    family = set(enum.relations)
+    if enum.truncated:  # a complete enumeration holds every congruence
+        family.update(congruence_relation(c) for c in all_congruences(a))
     for r in list(family):
         family.add(opposite(r))
         family.add(star(ctx, r))
@@ -438,12 +366,11 @@ def _identity_family(a: FiniteAlgebra, ctx: IdealContext, budget: int):
     return ordered, enum.truncated
 
 
-def _cmd_check_identities(cfg: RunConfiguration) -> int:
-    a = _load_algebra(cfg)
-    ctx = _context_for(cfg, a)
-    report = _Report(cfg)
-    _run_header(report, cfg, algebra=a.name, context=str(ctx))
-    family, truncated = _identity_family(a, ctx, cfg.max_relations)
+def _cmd_check_identities(args: argparse.Namespace, out: IO[str]) -> int:
+    a = _load_algebra(args)
+    ctx = _context_for(args, a)
+    report = _Report(args, out, algebra=a.name, context=str(ctx))
+    family, truncated = _identity_family(a, ctx, args.max_relations)
 
     def law(key: str, cases: int, holds: bool, inconclusive: bool = False):
         if inconclusive:
@@ -451,35 +378,22 @@ def _cmd_check_identities(cfg: RunConfiguration) -> int:
         else:
             verdict = Verdict.PASS if holds else Verdict.FAIL
         report.check(verdict)
-        if cfg.machine:
-            line = f"CHECK {key} {verdict.value} cases={cases}"
-            if truncated:
-                line += " note=truncated"
-            report.raw(line)
-        else:
-            report.raw(f"  {key.replace('-', ' ')}: {verdict.value} ({cases} cases)")
+        note = " note=truncated" if truncated else ""
+        report.say(
+            f"CHECK {key} {verdict.value} cases={cases}{note}",
+            f"  {key.replace('-', ' ')}: {verdict.value} ({cases} cases)",
+        )
 
+    n = len(family)
     stars = [star(ctx, r) for r in family]
-    ok = True
-    cases = 0
-    for r in family:
-        for s, star_s in zip(family, stars):
-            cases += 1
-            if star(ctx, compose(s, r)) != compose(star_s, r):
-                ok = False
-    law("law-compose-star", cases, ok)
-
-    ok = True
-    for r, st in zip(family, stars):
-        if st != star_via_pullback(ctx, r):
-            ok = False
-    law("law-star-pullback", len(family), ok)
-
-    ok = True
-    for r, st in zip(family, stars):
-        if star(ctx, st) != st or (st.mask & ~r.mask):
-            ok = False
-    law("law-star-idempotent-deflationary", len(family), ok)
+    pairs = list(zip(family, stars))
+    law("law-compose-star", n * n, all(
+        star(ctx, compose(s, r)) == compose(star_s, r) for r in family for s, star_s in pairs
+    ))
+    law("law-star-pullback", n, all(st == star_via_pullback(ctx, r) for r, st in pairs))
+    law("law-star-idempotent-deflationary", n, all(
+        star(ctx, st) == st and not st.mask & ~r.mask for r, st in pairs
+    ))
 
     candidates = {x: a.carrier for x in a.carrier}
     if isinstance(ctx, Pointed):
@@ -490,24 +404,27 @@ def _cmd_check_identities(cfg: RunConfiguration) -> int:
         endos, spent = [Homomorphism(a, a, m) for m in search], False
     except BudgetError:  # both laws are then INCONCLUSIVE with no cases
         endos, spent = [], True
-    ok = True
-    cases = 0
-    for f in endos:
-        for s in family:
-            cases += 1
-            lhs = star(ctx, inverse_image(f, s))
-            rhs = star(ctx, inverse_image(f, star(ctx, s)))
-            if lhs != rhs:
-                ok = False
-    law("law-inverse-image-star", cases, ok, inconclusive=spent)
-
-    ok = all(kernel_pair(f) == inverse_image(f, diagonal(a)) for f in endos)
-    law("law-kernel-pair-inverse-image", len(endos), ok, inconclusive=spent)
-
+    law("law-inverse-image-star", len(endos) * n, all(
+        star(ctx, inverse_image(f, s)) == star(ctx, inverse_image(f, star_s))
+        for f in endos for s, star_s in pairs
+    ), inconclusive=spent)
+    law("law-kernel-pair-inverse-image", len(endos), all(
+        kernel_pair(f) == inverse_image(f, diagonal(a)) for f in endos
+    ), inconclusive=spent)
     return report.emit()
 
 
 # --- argument parsing -------------------------------------------------------
+
+
+_FLAGS = {
+    "--relation": dict(required=True, help="relation file"),
+    "--context": dict(default="total", help="total | pointed:<element-or-constant> | proto"),
+    "--property": dict(required=True, choices=["left-star-symmetric", "star-symmetric"]),
+    "--kind": dict(required=True, choices=["maltsev", "e-subtractive"]),
+    "--max-relations": dict(type=int, default=DEFAULT_RELATION_BUDGET),
+    "--clone-budget": dict(type=int, default=DEFAULT_CLONE_BUDGET),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -516,47 +433,24 @@ def build_parser() -> argparse.ArgumentParser:
         description="Star-relation calculus and symmetry audits over finite algebras.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, relation=False, prop=False, kind=False):
+    for name, run, help, flags in (
+        ("audit", _cmd_audit, "run the four condition suites",
+         ["--context", "--max-relations"]),
+        ("check-relation", _cmd_check_relation, "check one relation",
+         ["--relation", "--context", "--property"]),
+        ("check-identities", _cmd_check_identities, "relation-calculus law suite",
+         ["--context", "--max-relations"]),
+        ("find-terms", _cmd_find_terms, "characterizing term search",
+         ["--context", "--kind", "--clone-budget"]),
+        ("congruences", _cmd_congruences, "list all congruences", []),
+    ):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
         p.add_argument("--algebra", required=True, help="algebra description file")
-        if relation:
-            p.add_argument("--relation", required=True, help="relation file")
-        p.add_argument(
-            "--context", default="total",
-            help="total | pointed:<element-or-constant> | proto",
-        )
-        if prop:
-            p.add_argument(
-                "--property", required=True,
-                choices=["left-star-symmetric", "star-symmetric"],
-            )
-        if kind:
-            p.add_argument(
-                "--kind", required=True, choices=["maltsev", "e-subtractive"]
-            )
-        p.add_argument("--max-relations", type=int, default=DEFAULT_RELATION_BUDGET)
-        p.add_argument("--clone-budget", type=int, default=DEFAULT_CLONE_BUDGET)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
         p.add_argument("--machine", action="store_true", help="line-oriented output")
-
-    common(sub.add_parser("audit", help="run the four condition suites"))
-    common(sub.add_parser("check-relation", help="check one relation"), relation=True, prop=True)
-    common(sub.add_parser("check-identities", help="relation-calculus law suite"))
-    common(sub.add_parser("find-terms", help="characterizing term search"), kind=True)
-    common(sub.add_parser("congruences", help="list all congruences"))
     return parser
-
-
-_DISPATCH = {
-    "audit": _cmd_audit,
-    "check-relation": _cmd_check_relation,
-    "check-identities": _cmd_check_identities,
-    "find-terms": _cmd_find_terms,
-    "congruences": _cmd_congruences,
-}
-
-
-def run_command(cfg: RunConfiguration) -> int:
-    return _DISPATCH[cfg.command](cfg)
 
 
 def main(argv: list[str] | None = None, out: IO[str] | None = None) -> int:
@@ -566,23 +460,13 @@ def main(argv: list[str] | None = None, out: IO[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        cfg = RunConfiguration(
-            command=args.command,
-            algebra_path=args.algebra,
-            relation_path=getattr(args, "relation", None),
-            context_spec=args.context,
-            prop=getattr(args, "property", None),
-            kind=getattr(args, "kind", None),
-            max_relations=args.max_relations,
-            clone_budget=args.clone_budget,
-            machine=args.machine,
-            out=out if out is not None else sys.stdout,
-        )
-        return run_command(cfg)
+        if min(getattr(args, "max_relations", 1), getattr(args, "clone_budget", 1)) < 1:
+            raise UsageError("budgets must be positive")
+        return args.run(args, out if out is not None else sys.stdout)
     except BudgetError as exc:
         print(f"starcheck: budget: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
-    except (ParseError, ContextError, ValueError, OSError) as exc:
+    except (ParseError, ContextError, UsageError, OSError) as exc:
         print(f"starcheck: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # a fault in starcheck, not in the input

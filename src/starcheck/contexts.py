@@ -11,7 +11,7 @@ import functools
 from dataclasses import dataclass
 
 from .algebra import FiniteAlgebra, Homomorphism, constants_subalgebra
-from .errors import ContextError
+from .errors import ContextError, UsageError
 
 
 @dataclass(frozen=True)
@@ -55,9 +55,9 @@ def parse_context(text: str) -> IdealContext:
     if text.startswith("pointed:"):
         base = text.split(":", 1)[1]
         if not base:
-            raise ValueError("pointed context needs a base element")
+            raise UsageError("pointed context needs a base element")
         return Pointed(int(base) if base.isdigit() else base)
-    raise ValueError(f"unknown context {text!r}")
+    raise UsageError(f"unknown context {text!r}")
 
 
 def context_label(ctx: IdealContext) -> str:

@@ -18,3 +18,8 @@ class BudgetError(RuntimeError):
 
 class ContextError(ValueError):
     """The ideal context is not admissible for the given algebra."""
+
+
+class UsageError(ValueError):
+    """Bad input on the command line: an unknown context, a non-positive
+    budget, a file that is not UTF-8, a search the algebra cannot serve."""

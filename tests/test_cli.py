@@ -194,15 +194,74 @@ class TestExitCodes:
         assert "internal error" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("flag", ["--max-relations", "--clone-budget"])
-    def test_non_positive_budget_is_usage_error(self, flag, capsys):
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["audit", "--max-relations"], id="--max-relations"),
+        pytest.param(["find-terms", "--kind", "maltsev", "--clone-budget"], id="--clone-budget"),
+    ])
+    def test_non_positive_budget_is_usage_error(self, argv, capsys):
         code = main(
-            ["audit", "--algebra", "corpus/set2.alg", flag, "0"], out=io.StringIO()
+            [*argv, "0", "--algebra", "corpus/set2.alg"], out=io.StringIO()
         )
         err = capsys.readouterr().err
         assert code == 2
         assert "starcheck: error: budgets must be positive" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command,flag", [
+        ("congruences", "--context"),
+        ("congruences", "--max-relations"),
+        ("congruences", "--clone-budget"),
+        ("check-relation", "--max-relations"),
+        ("check-relation", "--clone-budget"),
+        ("audit", "--clone-budget"),
+        ("check-identities", "--clone-budget"),
+        ("find-terms", "--max-relations"),
+    ])
+    def test_flag_the_command_does_not_read_is_rejected(self, command, flag, capsys):
+        argv = {
+            "check-relation": ["--relation", "corpus/set3_r1.rel",
+                               "--property", "left-star-symmetric"],
+            "find-terms": ["--kind", "maltsev"],
+        }.get(command, [])
+        value = "total" if flag == "--context" else "10"
+        code = main([command, "--algebra", "corpus/set3.alg", *argv, flag, value],
+                    out=io.StringIO())
+        assert code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["audit", "--context", "weird"], id="unknown-context"),
+        pytest.param(["find-terms", "--kind", "e-subtractive", "--context", "proto"],
+                     id="proto-without-constants"),
+    ])
+    def test_bad_request_is_usage_error(self, argv, capsys):
+        code = main([*argv, "--algebra", "corpus/set3.alg"], out=io.StringIO())
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("starcheck: error: ")
+
+    def test_non_utf8_file_is_usage_error(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.alg"
+        bad.write_bytes("algebra caf\xe9\nsize 1\n".encode("latin-1"))
+        code = main(["congruences", "--algebra", str(bad)], out=io.StringIO())
+        assert code == 2
+        assert "not a UTF-8 text file" in capsys.readouterr().err
+
+    def test_internal_value_error_is_not_usage_error(self, monkeypatch, capsys):
+        # a ValueError from inside a kernel is a fault (4), not bad input (2)
+        from starcheck import cli
+
+        def broken(*args, **kwargs):
+            raise ValueError("candidate domain is not a subuniverse")
+
+        monkeypatch.setattr(cli, "all_congruences", broken)
+        code = main(
+            ["congruences", "--algebra", "corpus/ringZ4.alg", "--machine"],
+            out=io.StringIO(),
+        )
+        err = capsys.readouterr().err
+        assert code == 4
+        assert "internal error" in err and "not a subuniverse" in err
 
     def test_invalid_context_exit(self, capsys):
         code = main(
@@ -257,6 +316,18 @@ class TestEndomorphismLaws:
         assert laws["law-inverse-image-star"] == ("PASS", len(endos) * family)
         assert code == 0
 
+    def test_ringZ9_family_needs_no_congruence_lattice(self, tmp_path):
+        # a complete enumeration already holds every congruence, so the
+        # size cap of all_congruences is never reached
+        path = tmp_path / "z9.alg"
+        path.write_text(cyclic_text(9, ring=True))
+        code, out = run_cli(["check-identities", "--algebra", str(path),
+                             "--context", "proto", "--machine"])
+        laws = law_cases(out)
+        assert len(laws) == 5
+        assert all(verdict == "PASS" for verdict, _ in laws.values())
+        assert code == 0
+
     def test_spent_node_budget_is_inconclusive(self, tmp_path, monkeypatch):
         from starcheck import cli
 
@@ -271,6 +342,23 @@ class TestEndomorphismLaws:
         assert laws["law-kernel-pair-inverse-image"] == ("INCONCLUSIVE", 0)
         assert laws["law-compose-star"][0] == "PASS"
         assert code == 3
+
+
+class TestHumanReports:
+    @pytest.mark.parametrize("algebra,flags,code,line", [
+        ("groupZ2", [], 0, "  maltsev term: mul(x, mul(y, z))"),
+        ("monoid01", [], 1,
+         "  no maltsev term: the complete ternary clone of size 8 was exhausted"),
+        ("groupZ2", ["--clone-budget", "10"], 3,
+         "  maltsev term: inconclusive, clone budget exhausted"),
+    ], ids=["found", "absent", "inconclusive"])
+    def test_maltsev_verdicts(self, algebra, flags, code, line):
+        got, out = run_cli(["find-terms", "--algebra", f"corpus/{algebra}.alg",
+                            "--kind", "maltsev", *flags])
+        lines = out.splitlines()
+        assert lines[0] == f"find-terms: algebra={algebra} kind=maltsev"
+        assert lines[2:] == [line, f"  verdict certifies the variety generated by {algebra}"]
+        assert got == code
 
 
 MACHINE_LINE = re.compile(
