@@ -12,14 +12,18 @@ Times, each call in full, with `time.perf_counter`:
   graph of ringZ2 at 0 (homomorphism search);
 - `direct_power(ringZ4^2, 2)`, the square that enumeration builds, and
   `enumerate_reflexive_compatible` on ringZ4^2 (power and enumeration);
-- the law-compose-star loop of check-identities over the 512 x 512
-  relations of set3 under the total context, `compose(star(s), r)` over
-  every pair of enumerated relations of monoid01^2 under pointed:0 (as
-  each permutability check of audit composes), the law-inverse-image-star
-  loop of check-identities over the 27 self-maps and 512 relations of
-  set3 under the total context, and `is_star_symmetric` on every
-  enumerated relation of monoid01^2 under pointed:0 (relation
-  compose/star/inverse image and the symmetry checkers);
+- the public `star(compose(s, r)) == compose(star(s), r)` loop over the
+  512 x 512 relations of set3 under the total context, `compose(star(s),
+  r)` over every pair of enumerated relations of monoid01^2 under
+  pointed:0 (as each permutability check of audit composes), the public
+  `star(inverse_image(f, s)) == star(inverse_image(f, star(s)))` loop over
+  the 27 self-maps and 512 relations of set3 under the total context, and
+  `is_star_symmetric` on every enumerated relation of monoid01^2 under
+  pointed:0 (relation compose/star/inverse image and the symmetry
+  checkers);
+- `check-identities` on set3 under the total and the pointed:0 context
+  through `starcheck.cli.main` (the law suite as the command runs it); its
+  verdict is the exit code and the sha256 of the report;
 - every command of `tests/cli_matrix.GOLDEN_RUNS` through
   `starcheck.cli.main` from the repository root, with the caches cleared
   before each command (end to end); its verdict is the exit codes and the
@@ -160,7 +164,7 @@ def cases(sc):
     family = [sc.Relation(set3, set3, mask) for mask in range(1 << 9)]
 
     def compose_star():
-        """The law-compose-star loop of check-identities on set3."""
+        """star(s ; r) == star(s) ; r on set3 through the public functions."""
         ctx = sc.Total()
         stars = [sc.star(ctx, s) for s in family]
         held = sum(
@@ -189,7 +193,8 @@ def cases(sc):
     maps = [sc.Homomorphism(set3, set3, m) for m in itertools.product(range(3), repeat=3)]
 
     def inverse_image_star():
-        """The law-inverse-image-star loop of check-identities on set3."""
+        """star(f^-1(s)) == star(f^-1(star(s))) on set3 through the public
+        functions."""
         ctx = sc.Total()
         held = sum(
             sc.star(ctx, sc.inverse_image(f, s))
@@ -199,10 +204,22 @@ def cases(sc):
         )
         return f"cases={len(maps) * len(family)} held={held}"
 
-    out.append(("law-compose-star set3 total", compose_star))
+    out.append(("public star/compose law set3 total", compose_star))
     out.append(("compose star x relation monoid01^2", compose_stars))
-    out.append(("law-inverse-image-star set3 total", inverse_image_star))
+    out.append(("public star/inverse_image law set3 total", inverse_image_star))
     out.append(("is_star_symmetric monoid01^2 pointed:0", symmetry))
+
+    def check_identities(context):
+        from starcheck.cli import main
+
+        report = io.StringIO()
+        code = main(["check-identities", "--algebra", "corpus/set3.alg",
+                     "--context", context, "--machine"], out=report)
+        return f"exit={code} sha256={hashlib.sha256(report.getvalue().encode()).hexdigest()}"
+
+    for context in ("total", "pointed:0"):
+        out.append((f"check-identities set3 {context}",
+                    lambda context=context: check_identities(context)))
 
     sys.path.insert(0, str(ROOT / "tests"))
     from cli_matrix import GOLDEN_RUNS

@@ -12,7 +12,13 @@ element of the context, an AND with the null-row mask.
 Composition works on whole masks, column by row: `_compose_masks` ORs,
 over each middle element y, column y of the first relation (one bit per
 row) times row y of the second, one big-int product per middle element.
-An inverse image f^-1(s) is f ; s ; f^op on the same kernel.
+An inverse image f^-1(s) is f ; s ; f^op on the same kernel, from the
+graph masks that `_graph_masks` lays out.  The opposite of a relation is
+a transpose on whole masks: `_transpose_mask` gathers each column into a
+row with one big-int product.
+
+The public functions check their inputs on every call; callers that have
+admitted their relations already may run the mask kernels directly.
 """
 
 from __future__ import annotations
@@ -177,11 +183,32 @@ def compose(r: Relation, s: Relation) -> Relation:
     return Relation(r.source, s.target, mask, compatible=hint)
 
 
+def _transpose_mask(mask: int, ns: int, nt: int) -> int:
+    """The mask of r^op from the mask of r (ns by nt).
+
+    Column y of r, one bit per row x at x * width, times the gather word
+    with one bit every width - 1 places puts bit x of the column at
+    (ns - 1) * (width - 1) + x: that window is row y of the result.  With
+    the rows at least ns bits apart no two partial products share a
+    place, so nothing carries.  Rows are re-laid at the common width only
+    when the source is the larger carrier."""
+    width = ns if ns > nt else nt
+    if width == 1:
+        return mask
+    if width != nt:
+        mask = _relayout(mask, ns, nt, width)
+    column = _column_bits(ns, width)
+    gather = _column_bits(ns, width - 1)
+    shift = (ns - 1) * (width - 1)
+    row = (1 << ns) - 1
+    out = 0
+    for y in range(nt):
+        out |= ((mask >> y & column) * gather >> shift & row) << y * ns
+    return out
+
+
 def opposite(r: Relation) -> Relation:
-    mask = 0
-    ns = r.source.size
-    for a, b in r.pairs():
-        mask |= 1 << (b * ns + a)
+    mask = _transpose_mask(r.mask, r.source.size, r.target.size)
     return Relation(r.target, r.source, mask, compatible=r._compatible)
 
 
@@ -202,6 +229,22 @@ def kernel_pair(f: Homomorphism) -> Relation:
     return _equal_label_relation(f.domain, f.map)
 
 
+def _graph_masks(f: Homomorphism) -> tuple[int, int]:
+    """The masks of the graph of f, {(a, f(a))}, and of its opposite."""
+    nd, nc = f.domain.size, f.codomain.size
+    graph = graph_op = 0
+    for a, b in enumerate(f.map):
+        graph |= 1 << (a * nc + b)
+        graph_op |= 1 << (b * nd + a)
+    return graph, graph_op
+
+
+def _pull_back_mask(graph: int, graph_op: int, smask: int, nd: int, nc: int) -> int:
+    """The mask of f ; s ; f^op from the graph masks of f : nd -> nc and
+    the mask of s, a square relation on nc elements."""
+    return _compose_masks(_compose_masks(graph, smask, nd, nc, nc), graph_op, nd, nc, nd)
+
+
 def inverse_image(f: Homomorphism, s: Relation) -> Relation:
     """Pairs of the domain whose images land in s: f ; s ; f^op, composing
     the masks of the graph of f and of its opposite.  The graph is
@@ -209,12 +252,7 @@ def inverse_image(f: Homomorphism, s: Relation) -> Relation:
     is."""
     if s.source != f.codomain or s.target != f.codomain:
         raise ValueError("relation must be square on the codomain of f")
-    nd, nc = f.domain.size, f.codomain.size
-    graph = graph_op = 0
-    for a, b in enumerate(f.map):
-        graph |= 1 << (a * nc + b)
-        graph_op |= 1 << (b * nd + a)
-    mask = _compose_masks(_compose_masks(graph, s.mask, nd, nc, nc), graph_op, nd, nc, nd)
+    mask = _pull_back_mask(*_graph_masks(f), s.mask, f.domain.size, f.codomain.size)
     hint = True if s._compatible else None
     return Relation(f.domain, f.domain, mask, compatible=hint)
 

@@ -20,6 +20,11 @@ def run_cli(argv):
     return code, buf.getvalue()
 
 
+# a monounary algebra whose 4 elements all map to the constant: more
+# reflexive compatible relations than a budget of 48
+MONO_C = "algebra monoC\nsize 4\nconst bot = 0\nop f/1 = [0 0 0 0]\n"
+
+
 @pytest.fixture(autouse=True)
 def in_repo_root(monkeypatch):
     monkeypatch.chdir(ROOT)
@@ -231,6 +236,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv", [
         pytest.param(["audit", "--context", "weird"], id="unknown-context"),
+        pytest.param(["find-terms", "--kind", "maltsev", "--context", "weird"],
+                     id="maltsev-unknown-context"),
         pytest.param(["find-terms", "--kind", "e-subtractive", "--context", "proto"],
                      id="proto-without-constants"),
     ])
@@ -262,6 +269,24 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == 4
         assert "internal error" in err and "not a subuniverse" in err
+
+    def test_truncated_family_is_inconclusive(self, tmp_path):
+        # the laws hold on every case checked, but the relation budget cut
+        # the family short, so the command decides nothing
+        path = tmp_path / "monoC.alg"
+        path.write_text(MONO_C)
+        code, out = run_cli(["check-identities", "--algebra", str(path),
+                             "--context", "pointed:bot", "--max-relations", "48",
+                             "--machine"])
+        lines = out.splitlines()
+        assert lines[:2] == [
+            "RUN command=check-identities algebra=monoC context=pointed:bot",
+            "WARN relation-budget=48/48 family=truncated",
+        ]
+        checks = [line for line in lines if line.startswith("CHECK ")]
+        assert len(checks) == 5
+        assert all(" PASS " in line and line.endswith(" note=truncated") for line in checks)
+        assert code == 3
 
     def test_invalid_context_exit(self, capsys):
         code = main(
@@ -345,20 +370,33 @@ class TestEndomorphismLaws:
 
 
 class TestHumanReports:
-    @pytest.mark.parametrize("algebra,flags,code,line", [
-        ("groupZ2", [], 0, "  maltsev term: mul(x, mul(y, z))"),
+    @pytest.mark.parametrize("algebra,flags,code,tail", [
+        ("groupZ2", [], 0, ["  maltsev term: mul(x, mul(y, z))",
+                            "  verdict certifies the variety generated by groupZ2"]),
         ("monoid01", [], 1,
-         "  no maltsev term: the complete ternary clone of size 8 was exhausted"),
+         ["  no maltsev term: the complete ternary clone of size 8 was exhausted",
+          "  verdict certifies the variety generated by monoid01"]),
+        # nothing is certified, so no trailer
         ("groupZ2", ["--clone-budget", "10"], 3,
-         "  maltsev term: inconclusive, clone budget exhausted"),
+         ["  maltsev term: inconclusive, clone budget exhausted"]),
     ], ids=["found", "absent", "inconclusive"])
-    def test_maltsev_verdicts(self, algebra, flags, code, line):
+    def test_maltsev_verdicts(self, algebra, flags, code, tail):
         got, out = run_cli(["find-terms", "--algebra", f"corpus/{algebra}.alg",
                             "--kind", "maltsev", *flags])
         lines = out.splitlines()
         assert lines[0] == f"find-terms: algebra={algebra} kind=maltsev"
-        assert lines[2:] == [line, f"  verdict certifies the variety generated by {algebra}"]
+        assert lines[2:] == tail
         assert got == code
+
+    def test_truncated_family_warns(self, tmp_path):
+        path = tmp_path / "monoC.alg"
+        path.write_text(MONO_C)
+        got, out = run_cli(["check-identities", "--algebra", str(path),
+                            "--context", "pointed:bot", "--max-relations", "48"])
+        assert out.splitlines()[1] == (
+            "  warning: relation budget spent (48/48), the family is truncated"
+        )
+        assert got == 3
 
 
 MACHINE_LINE = re.compile(

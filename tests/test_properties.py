@@ -1,5 +1,6 @@
 """Property tests over random small algebras on two or three elements,
-and over relations between bare sets of one to four elements.  Examples
+and over relations between bare sets of one to four elements (up to
+sixteen for opposites).  Examples
 are derandomized, so every run checks the same ones."""
 
 import itertools
@@ -9,10 +10,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import starcheck as sc
+from starcheck import cli
 from starcheck.algebra import _encode
+from starcheck.contexts import resolve_base
 from starcheck.terms import App, Var, _clone_rounds, term_text, variable_name
 
-from conftest import all_maps, all_partitions, compatible_partition, empty_set_algebra
+from conftest import (
+    all_maps,
+    all_partitions,
+    compatible_partition,
+    empty_set_algebra,
+    load_algebra,
+)
 
 PROPERTY_SETTINGS = settings(
     derandomize=True, database=None, max_examples=60, deadline=None
@@ -553,6 +562,25 @@ def test_opposite_matches_pair_set_definition(ns, nt, data):
     assert sc.opposite(sc.Relation.from_pairs(x, y, p)) == sc.Relation.from_pairs(y, x, reversed_pairs)
 
 
+@pytest.mark.parametrize("ns,nt", [(ns, nt) for ns in range(1, 5) for nt in range(1, 5) if ns * nt <= 9])
+def test_opposite_matches_pair_set_definition_on_every_mask(ns, nt):
+    x, y = empty_set_algebra(ns), empty_set_algebra(nt)
+    for mask in range(1 << ns * nt):
+        r = sc.Relation(x, y, mask)
+        assert sc.opposite(r) == sc.Relation.from_pairs(y, x, {(b, a) for a, b in r.pairs()})
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(1, 16), st.integers(2, 16), st.data())
+def test_opposite_of_rows_with_both_end_bits(ns, nt, data):
+    # a row holding both its first and its last pair is where a transpose
+    # that spreads rows, instead of gathering columns, carries
+    x, y = empty_set_algebra(ns), empty_set_algebra(nt)
+    p = data.draw(pair_sets(ns, nt)) | {(a, b) for a in range(ns) for b in (0, nt - 1)}
+    reversed_pairs = {(b, a) for a, b in p}
+    assert sc.opposite(sc.Relation.from_pairs(x, y, p)) == sc.Relation.from_pairs(y, x, reversed_pairs)
+
+
 @PROPERTY_SETTINGS
 @given(st.integers(1, 4), st.integers(1, 4), st.data())
 def test_inverse_image_matches_pair_set_definition(nd, nc, data):
@@ -648,3 +676,51 @@ def test_kernel_pair_and_congruence_relation_pair_equal_labels(a):
     for c in sc.all_congruences(a):
         expected = sc.Relation.from_pairs(a, a, equal_label_pairs(c.partition))
         assert sc.congruence_relation(c) == expected
+
+
+def endomorphisms(a, ctx):
+    """The endomorphisms check-identities quantifies over: every one, or
+    under a pointed context those that fix the base."""
+    maps = list(all_maps(a, a))
+    if isinstance(ctx, sc.Pointed):
+        base = resolve_base(ctx, a)
+        maps = [f for f in maps if f.map[base] == base]
+    return maps
+
+
+def assert_law_sides_match_public_api(a, ctx):
+    """Each case of the mask-level law kernels of check-identities equals
+    the same case built from the public star, compose and inverse_image."""
+    family, _ = cli._identity_family(a, ctx, cli.DEFAULT_RELATION_BUDGET)
+    stars = [sc.star(ctx, r) for r in family]
+    pairs = list(zip(family, stars))
+    expected = [
+        (sc.star(ctx, sc.compose(s, r)).mask, sc.compose(star_s, r).mask)
+        for r in family for s, star_s in pairs
+    ]
+    masks = [(r.mask, star_r.mask) for r, star_r in pairs]
+    assert list(cli._compose_star_sides(ctx, a, masks)) == expected
+    endos = endomorphisms(a, ctx)
+    expected = [
+        (sc.star(ctx, sc.inverse_image(f, s)).mask,
+         sc.star(ctx, sc.inverse_image(f, star_s)).mask)
+        for f in endos for s, star_s in pairs
+    ]
+    assert list(cli._inverse_image_star_sides(ctx, a, endos, masks)) == expected
+
+
+@pytest.mark.parametrize("name,context", [
+    ("set2", "total"), ("set2", "pointed:0"), ("bool2", "proto"),
+    ("groupZ2", "pointed:e"), ("monoid01", "pointed:0"),
+])
+def test_law_kernels_match_public_api_on_corpus_families(name, context):
+    assert_law_sides_match_public_api(load_algebra(name), sc.parse_context(context))
+
+
+@PROPERTY_SETTINGS
+@given(mixed_algebras(), st.data())
+def test_law_kernels_match_public_api_on_random_families(a, data):
+    base = data.draw(st.integers(0, a.size - 1))
+    assert_law_sides_match_public_api(a, sc.Total())
+    assert_law_sides_match_public_api(a, sc.ProtoPointed())
+    assert_law_sides_match_public_api(with_fixed_point(a, base), sc.Pointed(base))
