@@ -21,9 +21,12 @@ Times, each call in full, with `time.perf_counter`:
   `is_star_symmetric` on every enumerated relation of monoid01^2 under
   pointed:0 (relation compose/star/inverse image and the symmetry
   checkers);
-- `check-identities` on set3 under the total and the pointed:0 context
-  through `starcheck.cli.main` (the law suite as the command runs it); its
-  verdict is the exit code and the sha256 of the report;
+- `check-identities` through `starcheck.cli.main` (the law suite as the
+  command runs it) on set3 under the total and the pointed:0 context,
+  whose family is all 512 relations of the bare set, and on monoid01^2
+  under pointed:0, whose family of 313 members comes from enumeration
+  (the square is written to a temporary file with `serialize_algebra`);
+  its verdict is the exit code and the sha256 of the report;
 - every command of `tests/cli_matrix.GOLDEN_RUNS` through
   `starcheck.cli.main` from the repository root, with the caches cleared
   before each command (end to end); its verdict is the exit codes and the
@@ -54,6 +57,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -87,8 +91,9 @@ def ring_text(n: int) -> str:
     )
 
 
-def cases(sc):
-    """(name, zero-argument call returning a short verdict string)."""
+def cases(sc, tmp: pathlib.Path):
+    """(name, zero-argument call returning a short verdict string); input
+    files that are not in the corpus are written under tmp."""
     out = []
     for n in (5, 6, 8):
         a = sc.parse_algebra(ring_text(n))
@@ -209,17 +214,21 @@ def cases(sc):
     out.append(("public star/inverse_image law set3 total", inverse_image_star))
     out.append(("is_star_symmetric monoid01^2 pointed:0", symmetry))
 
-    def check_identities(context):
+    def check_identities(path, context):
         from starcheck.cli import main
 
         report = io.StringIO()
-        code = main(["check-identities", "--algebra", "corpus/set3.alg",
+        code = main(["check-identities", "--algebra", str(path),
                      "--context", context, "--machine"], out=report)
         return f"exit={code} sha256={hashlib.sha256(report.getvalue().encode()).hexdigest()}"
 
     for context in ("total", "pointed:0"):
         out.append((f"check-identities set3 {context}",
-                    lambda context=context: check_identities(context)))
+                    lambda context=context: check_identities("corpus/set3.alg", context)))
+    square_file = tmp / "monoid01sq.alg"
+    square_file.write_text(sc.serialize_algebra(sc.direct_power(monoid, 2)))
+    out.append(("check-identities monoid01^2 pointed:0",
+                lambda: check_identities(square_file, "pointed:0")))
 
     sys.path.insert(0, str(ROOT / "tests"))
     from cli_matrix import GOLDEN_RUNS
@@ -268,14 +277,15 @@ def serve(src: str) -> None:
     os.chdir(ROOT)  # the golden commands name corpus files relative to it
     import starcheck as sc
 
-    calls = dict(cases(sc))
-    print(json.dumps(list(calls)), flush=True)
-    for line in sys.stdin:
-        call = calls[line.strip()]
-        clear_caches()
-        start = time.perf_counter()
-        verdict = call()
-        print(json.dumps([time.perf_counter() - start, verdict]), flush=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        calls = dict(cases(sc, pathlib.Path(tmp)))
+        print(json.dumps(list(calls)), flush=True)
+        for line in sys.stdin:
+            call = calls[line.strip()]
+            clear_caches()
+            start = time.perf_counter()
+            verdict = call()
+            print(json.dumps([time.perf_counter() - start, verdict]), flush=True)
 
 
 class Child:

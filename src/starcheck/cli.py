@@ -14,8 +14,11 @@ check-identities finds its endomorphisms with `algebra.HomomorphismSearch`
 under `_ENDO_NODE_BUDGET` nodes, with no cap on the carrier size.  It
 admits each member of its relation family once, through `star`, and then
 runs the n^2 laws on the admitted family's masks with the kernels of
-`relations`; a family cut short by the relation budget makes the command
-INCONCLUSIVE.
+`relations`: the family is stacked into one mask (member i at bit
+i * n^2 for an n-element carrier), so law-compose-star costs two
+compositions per relation r and law-inverse-image-star two pull-backs
+per endomorphism f, each covering every case of that r or f at once.  A
+family cut short by the relation budget makes the command INCONCLUSIVE.
 """
 
 from __future__ import annotations
@@ -51,9 +54,10 @@ from .errors import BudgetError, ContextError, ParseError, UsageError
 from .relations import (
     Relation,
     _compose_masks,
-    _graph_masks,
     _null_rows,
-    _pull_back_mask,
+    _pull_back_stack,
+    _stack_masks,
+    _tile_mask,
     congruence_relation,
     diagonal,
     inverse_image,
@@ -359,7 +363,14 @@ def _cmd_find_terms(args: argparse.Namespace, out: IO[str]) -> int:
 
 def _identity_family(a: FiniteAlgebra, ctx: IdealContext, budget: int):
     """Relations the law suite quantifies over, and how many relations the
-    enumeration kept when the relation budget cut it short (else None)."""
+    enumeration kept when the relation budget cut it short (else None).
+
+    A bare set of at most 3 elements quantifies over all 2^(n^2) relations
+    on it (512 on three elements) and never reads the relation budget, so
+    its family is never truncated.  Any other algebra quantifies over its
+    reflexive compatible relations (every congruence among them) with
+    their opposites and stars; only a truncated enumeration adds the
+    congruence lattice as well."""
     if a.signature.is_empty and a.size <= 3:
         masks = range(1 << (a.size * a.size))
         return [Relation(a, a, m) for m in masks], None
@@ -375,29 +386,31 @@ def _identity_family(a: FiniteAlgebra, ctx: IdealContext, budget: int):
 
 
 def _compose_star_sides(ctx: IdealContext, a: FiniteAlgebra, masks):
-    """Both sides of law-compose-star, star(s ; r) and star(s) ; r, as masks,
-    for every r and then every s of an admitted family, given as (mask,
-    star mask) pairs."""
-    n = a.size
-    rows = _null_rows(ctx, a)
+    """Both sides of law-compose-star, star(s ; r) and star(s) ; r, for
+    every r of an admitted family, given as (mask, star mask) pairs: one
+    pair of stacks per r, whose member i is the case s = member i."""
+    n, k = a.size, len(masks)
+    stack = _stack_masks([s for s, _ in masks], n)
+    star_stack = _stack_masks([star_s for _, star_s in masks], n)
+    rows = _tile_mask(_null_rows(ctx, a), n, k)
     for r, _ in masks:
-        for s, star_s in masks:
-            yield _compose_masks(s, r, n, n, n) & rows, _compose_masks(star_s, r, n, n, n)
+        yield (
+            _compose_masks(stack, r, k * n, n, n) & rows,
+            _compose_masks(star_stack, r, k * n, n, n),
+        )
 
 
 def _inverse_image_star_sides(ctx: IdealContext, a: FiniteAlgebra, endos, masks):
     """Both sides of law-inverse-image-star, star(f^-1(s)) and
-    star(f^-1(star(s))), as masks, for every endomorphism f and then every
-    s of an admitted family, given as (mask, star mask) pairs."""
-    n = a.size
-    rows = _null_rows(ctx, a)
+    star(f^-1(star(s))), for every endomorphism f, over an admitted family
+    given as (mask, star mask) pairs: one pair of stacks per f, whose
+    member i is the case s = member i."""
+    n, k = a.size, len(masks)
+    stack = _stack_masks([s for s, _ in masks], n)
+    star_stack = _stack_masks([star_s for _, star_s in masks], n)
+    rows = _tile_mask(_null_rows(ctx, a), n, k)
     for f in endos:
-        graph, graph_op = _graph_masks(f)
-        for s, star_s in masks:
-            yield (
-                _pull_back_mask(graph, graph_op, s, n, n) & rows,
-                _pull_back_mask(graph, graph_op, star_s, n, n) & rows,
-            )
+        yield _pull_back_stack(f, stack, k) & rows, _pull_back_stack(f, star_stack, k) & rows
 
 
 def _cmd_check_identities(args: argparse.Namespace, out: IO[str]) -> int:

@@ -17,6 +17,15 @@ graph masks that `_graph_masks` lays out.  The opposite of a relation is
 a transpose on whole masks: `_transpose_mask` gathers each column into a
 row with one big-int product.
 
+A family of k square masks on n elements stacks into one int, member i
+at bit i * n^2 (`_stack_masks`).  The stack is itself a (k * n) by n
+relation whose member i fills rows i * n to i * n + n - 1, and its rows
+stay n bits apart, so `_compose_masks(stack, r, k * n, n, n)` is the
+stack of every s_i ; r with no carry from one member into the next, and
+`_pull_back_stack` pulls every member back along one endomorphism.  A
+per-member mask such as the null rows is tiled over the stack by one
+product (`_tile_mask`).
+
 The public functions check their inputs on every call; callers that have
 admitted their relations already may run the mask kernels directly.
 """
@@ -243,6 +252,35 @@ def _pull_back_mask(graph: int, graph_op: int, smask: int, nd: int, nc: int) -> 
     """The mask of f ; s ; f^op from the graph masks of f : nd -> nc and
     the mask of s, a square relation on nc elements."""
     return _compose_masks(_compose_masks(graph, smask, nd, nc, nc), graph_op, nd, nc, nd)
+
+
+def _stack_masks(masks: list[int], n: int) -> int:
+    """The stack of square masks on n elements: member i at bit i * n^2."""
+    stack = 0
+    for i, mask in enumerate(masks):
+        stack |= mask << i * n * n
+    return stack
+
+
+def _tile_mask(mask: int, n: int, k: int) -> int:
+    """The stack of k copies of a square mask on n elements, by one
+    product with a bit at the start of every member."""
+    return mask * _column_bits(k, n * n)
+
+
+def _pull_back_stack(f: Homomorphism, stack: int, k: int) -> int:
+    """The stack of f ; s_i ; f^op from a stack of k square masks s_i, for
+    an endomorphism f.  Composing the stack with the graph of f^op does
+    the right factor for every member at once; the left factor moves row
+    f(x) of every member to row x, one shift and mask per element."""
+    n = f.domain.size
+    _, graph_op = _graph_masks(f)
+    right = _compose_masks(stack, graph_op, k * n, n, n)
+    first_rows = _tile_mask((1 << n) - 1, n, k)
+    out = 0
+    for x, fx in enumerate(f.map):
+        out |= (right >> fx * n & first_rows) << x * n
+    return out
 
 
 def inverse_image(f: Homomorphism, s: Relation) -> Relation:

@@ -1,7 +1,8 @@
 """Property tests over random small algebras on two or three elements,
-and over relations between bare sets of one to four elements (up to
-sixteen for opposites).  Examples
-are derandomized, so every run checks the same ones."""
+over relations between bare sets of one to four elements (up to
+sixteen for opposites), and over stacks of up to eight masks on one to
+five elements.  Examples are derandomized, so every run checks the same
+ones."""
 
 import itertools
 
@@ -13,6 +14,13 @@ import starcheck as sc
 from starcheck import cli
 from starcheck.algebra import _encode
 from starcheck.contexts import resolve_base
+from starcheck.relations import (
+    _compose_masks,
+    _graph_masks,
+    _pull_back_mask,
+    _pull_back_stack,
+    _stack_masks,
+)
 from starcheck.terms import App, Var, _clone_rounds, term_text, variable_name
 
 from conftest import (
@@ -688,25 +696,46 @@ def endomorphisms(a, ctx):
     return maps
 
 
+def unstack(stack, n, k):
+    """The k square masks on n elements of a stack, member i at bit
+    i * n^2."""
+    block = (1 << n * n) - 1
+    return [stack >> i * n * n & block for i in range(k)]
+
+
+def unstacked_cases(stacked_sides, n, k):
+    """The per-case (lhs, rhs) masks of stacked law sides, in stack order."""
+    return [
+        case
+        for lhs, rhs in stacked_sides
+        for case in zip(unstack(lhs, n, k), unstack(rhs, n, k))
+    ]
+
+
 def assert_law_sides_match_public_api(a, ctx):
-    """Each case of the mask-level law kernels of check-identities equals
-    the same case built from the public star, compose and inverse_image."""
+    """Each case of the stacked law kernels of check-identities equals the
+    same case built from the public star, compose and inverse_image."""
     family, _ = cli._identity_family(a, ctx, cli.DEFAULT_RELATION_BUDGET)
     stars = [sc.star(ctx, r) for r in family]
     pairs = list(zip(family, stars))
+    n, k = a.size, len(family)
     expected = [
         (sc.star(ctx, sc.compose(s, r)).mask, sc.compose(star_s, r).mask)
         for r in family for s, star_s in pairs
     ]
     masks = [(r.mask, star_r.mask) for r, star_r in pairs]
-    assert list(cli._compose_star_sides(ctx, a, masks)) == expected
+    sides = list(cli._compose_star_sides(ctx, a, masks))
+    assert len(sides) == k
+    assert unstacked_cases(sides, n, k) == expected
     endos = endomorphisms(a, ctx)
     expected = [
         (sc.star(ctx, sc.inverse_image(f, s)).mask,
          sc.star(ctx, sc.inverse_image(f, star_s)).mask)
         for f in endos for s, star_s in pairs
     ]
-    assert list(cli._inverse_image_star_sides(ctx, a, endos, masks)) == expected
+    sides = list(cli._inverse_image_star_sides(ctx, a, endos, masks))
+    assert len(sides) == len(endos)
+    assert unstacked_cases(sides, n, k) == expected
 
 
 @pytest.mark.parametrize("name,context", [
@@ -724,3 +753,70 @@ def test_law_kernels_match_public_api_on_random_families(a, data):
     assert_law_sides_match_public_api(a, sc.Total())
     assert_law_sides_match_public_api(a, sc.ProtoPointed())
     assert_law_sides_match_public_api(with_fixed_point(a, base), sc.Pointed(base))
+
+
+@st.composite
+def stacked_families(draw):
+    """A carrier size n of 1 to 5, up to eight square masks on it (empty
+    and all-ones blocks drawn often, so a carry across blocks would show),
+    a relation r and a self-map f."""
+    n = draw(st.integers(1, 5))
+    full = (1 << n * n) - 1
+    block = st.one_of(st.just(0), st.just(full), st.integers(0, full))
+    masks = draw(st.lists(block, max_size=8))
+    r = draw(block)
+    f = tuple(draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n)))
+    return n, masks, r, f
+
+
+@PROPERTY_SETTINGS
+@given(stacked_families())
+def test_stacked_kernels_match_per_member_kernels(family):
+    n, masks, r, fmap = family
+    k = len(masks)
+    bare = empty_set_algebra(n)
+    f = sc.Homomorphism(bare, bare, fmap)
+    graph, graph_op = _graph_masks(f)
+    stack = _stack_masks(masks, n)
+    assert unstack(stack, n, k) == masks
+    assert stack >> k * n * n == 0
+    composed = _compose_masks(stack, r, k * n, n, n)
+    assert composed >> k * n * n == 0
+    assert unstack(composed, n, k) == [_compose_masks(s, r, n, n, n) for s in masks]
+    pulled = _pull_back_stack(f, stack, k)
+    assert pulled >> k * n * n == 0
+    assert unstack(pulled, n, k) == [_pull_back_mask(graph, graph_op, s, n, n) for s in masks]
+
+
+@pytest.mark.parametrize("name,context", [
+    ("set2", "total"), ("set2", "pointed:1"), ("monoid01", "pointed:0"),
+    ("ringZ4", "proto"),
+])
+def test_planted_star_fault_shows_in_exactly_its_case(name, context):
+    """Flip one bit of one member's star mask: only that member's cases
+    may differ, and with r the diagonal and f the identity they do, so
+    each law would read FAIL."""
+    a, ctx = load_algebra(name), sc.parse_context(context)
+    family, _ = cli._identity_family(a, ctx, cli.DEFAULT_RELATION_BUDGET)
+    n, k = a.size, len(family)
+    masks = [(r.mask, sc.star(ctx, r).mask) for r in family]
+    diagonal = family.index(sc.diagonal(a))
+    null = min(sc.null_class(ctx, a).elements)
+    identity = sc.Homomorphism(a, a, tuple(a.carrier))
+    endos = [identity, *(f for f in endomorphisms(a, ctx) if f != identity)]
+    for j in (0, k // 2, k - 1):
+        # a bit in a null row, which the star of either side keeps
+        bit = null * n + j % n
+        planted = list(masks)
+        planted[j] = (masks[j][0], masks[j][1] ^ 1 << bit)
+        for sides, first in (
+            (cli._compose_star_sides(ctx, a, planted), diagonal),
+            (cli._inverse_image_star_sides(ctx, a, endos, planted), 0),
+        ):
+            differing = [
+                (case // k, case % k)
+                for case, (lhs, rhs) in enumerate(unstacked_cases(sides, n, k))
+                if lhs != rhs
+            ]
+            assert {i for _, i in differing} == {j}
+            assert (first, j) in differing
