@@ -10,8 +10,11 @@ Times, each call in full, with `time.perf_counter`:
 - the endomorphisms that check-identities quantifies over, on the
   6-element group Z6, and `graph_left_star_symmetric` on the substitution
   graph of ringZ2 at 0 (homomorphism search);
-- `direct_power(ringZ4^2, 2)`, the square that enumeration builds, and
-  `enumerate_reflexive_compatible` on ringZ4^2 (power and enumeration);
+- `direct_power(ringZ4^2, 2)`, the square that enumeration builds,
+  `enumerate_reflexive_compatible` on ringZ4^2 (mostly principal
+  closures) and on monoid01^2 (306 relations, mostly join closures), and
+  `audit_algebra` on ringZ4^2 under proto with a congruence budget of 16
+  (power and enumeration);
 - the public `star(compose(s, r)) == compose(star(s), r)` loop over the
   512 x 512 relations of set3 under the total context, `compose(star(s),
   r)` over every pair of enumerated relations of monoid01^2 under
@@ -158,12 +161,17 @@ def cases(sc, tmp: pathlib.Path):
     def power():
         return f"size={sc.direct_power(square, 2).size}"
 
-    def enumeration():
+    def enumeration(square=square):
         enum = sc.enumerate_reflexive_compatible(square)
         return f"relations={len(enum.relations)} truncated={enum.truncated}"
 
+    def audit():
+        report = sc.audit_algebra(sc.ProtoPointed(), square, congruence_size_budget=16)
+        return " ".join(f"{c.verdict.value}/{c.examined}" for c in report.conditions)
+
     out.append(("direct_power ringZ4^2", power))
     out.append(("enumerate_reflexive_compatible ringZ4^2", enumeration))
+    out.append(("audit_algebra ringZ4^2 proto", audit))
 
     set3 = sc.parse_algebra((ROOT / "corpus" / "set3.alg").read_text())
     family = [sc.Relation(set3, set3, mask) for mask in range(1 << 9)]
@@ -180,7 +188,10 @@ def cases(sc, tmp: pathlib.Path):
         return f"cases={len(family) ** 2} held={held}"
 
     monoid = sc.parse_algebra((ROOT / "corpus" / "monoid01.alg").read_text())
-    relations = sc.enumerate_reflexive_compatible(sc.direct_power(monoid, 2)).relations
+    monoid_square = sc.direct_power(monoid, 2)
+    relations = sc.enumerate_reflexive_compatible(monoid_square).relations
+    out.append(("enumerate_reflexive_compatible monoid01^2",
+                lambda: enumeration(monoid_square)))
 
     def symmetry():
         ctx = sc.Pointed(0)
@@ -226,7 +237,7 @@ def cases(sc, tmp: pathlib.Path):
         out.append((f"check-identities set3 {context}",
                     lambda context=context: check_identities("corpus/set3.alg", context)))
     square_file = tmp / "monoid01sq.alg"
-    square_file.write_text(sc.serialize_algebra(sc.direct_power(monoid, 2)))
+    square_file.write_text(sc.serialize_algebra(monoid_square))
     out.append(("check-identities monoid01^2 pointed:0",
                 lambda: check_identities(square_file, "pointed:0")))
 

@@ -6,8 +6,9 @@ operations are stored as flat value tables in lexicographic argument order
 hashable, so results can be cached and compared structurally.
 
 `_compose` applies a table to whole argument value streams at C level;
-powers, homomorphism checks, induced subalgebras and the clone in `terms`
-are built on it.
+homomorphism checks, induced subalgebras and the clone in `terms` are
+built on it.  A direct power needs no lookup at all: a point's position is
+its base-n code, so `direct_power` computes its tables by code arithmetic.
 """
 
 from __future__ import annotations
@@ -315,16 +316,49 @@ def direct_power(
 ) -> FiniteAlgebra:
     """The k-th direct power; carrier tuples are encoded lexicographically.
 
-    It is the subalgebra of the power on every point, listed in
-    lexicographic order, so that a point's position is its code."""
+    A point's position is its base-n code (n = a.size): the point
+    (c_0, ..., c_{k-1}) sits at c_0·n^(k-1) + ... + c_{k-1}.  So every
+    entry is arithmetic: the entry of an operation f at argument codes
+    x_1..x_m is the code of the coordinatewise values, coordinate i being f
+    at the i-th digits of x_1..x_m.  Each table is built row by row, see
+    `_power_rows`."""
     if k < 1:
         raise ValueError("power must be positive")
     size = a.size ** k
     if size > budget:
         raise BudgetError(f"power carrier {size} exceeds budget {budget}")
-    tables = _induced_tables(a, list(itertools.product(a.carrier, repeat=k)))
+    tables = tuple(
+        tuple(itertools.chain.from_iterable(_power_rows([table] * k, a.size, arity)))
+        for _, arity, table in a.operations()
+    )
     name = f"{a.name}^{k}" if a.name else ""
     return FiniteAlgebra(a.signature, size, tables, name)
+
+
+def _power_rows(
+    tables: Iterable[tuple[int, ...]], n: int, arity: int
+) -> Iterator[list[int]]:
+    """Rows of the table of the operation on base-n codes whose coordinate
+    i has the flat table ``tables[i]`` of the given arity over {0..n-1}.
+
+    A row fixes every argument but the last, and runs over the codes of
+    the last one.  Fixing the first argument's digit d in coordinate i
+    leaves the section ``tables[i][d·w:(d+1)·w]``, w = n^(arity-1), so the
+    first argument's codes, in order, give the digit choices of
+    ``itertools.product`` over the coordinates' sections.  With one
+    argument left (or none, for a constant) the row is the code of one
+    value from each coordinate, lexicographically: a code times n plus the
+    next coordinate's value."""
+    if arity <= 1:
+        row = [0]
+        for table in tables:
+            row = [code * n + v for code in row for v in table]
+        yield row
+        return
+    width = n ** (arity - 1)
+    sections = [[table[d * width:(d + 1) * width] for d in range(n)] for table in tables]
+    for chosen in itertools.product(*sections):
+        yield from _power_rows(chosen, n, arity - 1)
 
 
 def _induced_tables(
@@ -367,7 +401,21 @@ def subalgebra_closure(
     a: FiniteAlgebra, seed: Iterable[int], closed: frozenset[int] = frozenset()
 ) -> frozenset[int]:
     """Least subuniverse containing the seed, all constants and `closed`,
-    which must already be a subuniverse.
+    which must already be a subuniverse."""
+    seed = set(seed)
+    for s in sorted(seed):
+        if not 0 <= s < a.size:
+            raise ValueError(f"seed element {s} out of range")
+    return frozenset(closed).union(*_closure_rounds(a, seed, closed))
+
+
+def _closure_rounds(
+    a: FiniteAlgebra, seed: set[int], closed: frozenset[int]
+) -> Iterator[set[int]]:
+    """The elements that each round of the closure of the in-range `seed`
+    over the subuniverse `closed` adds, as disjoint sets: first the seed
+    and the constants, then the values they generate, until a round adds
+    nothing.  A caller may stop early.
 
     Each round applies every operation only to the argument tuples that
     contain an element added in the previous round: the first such
@@ -375,9 +423,6 @@ def subalgebra_closure(
     ones and later positions over all of them, so every tuple is applied
     once and tuples inside `closed` never are."""
     fresh = set(seed)
-    for s in sorted(fresh):
-        if not 0 <= s < a.size:
-            raise ValueError(f"seed element {s} out of range")
     positive = []
     for _, arity, table in a.operations():
         if arity == 0:
@@ -388,6 +433,7 @@ def subalgebra_closure(
     seen = set(closed)
     fresh -= seen
     while fresh:
+        yield fresh
         seen |= fresh
         old, new = members, list(fresh)
         members = old + new
@@ -397,7 +443,6 @@ def subalgebra_closure(
                 choices = [old] * i + [new] + [members] * (arity - 1 - i)
                 fresh |= _table_values(table, a.size, choices)
         fresh -= seen
-    return frozenset(seen)
 
 
 @functools.lru_cache(maxsize=None)

@@ -25,6 +25,7 @@ from .algebra import (
     FiniteAlgebra,
     Homomorphism,
     HomomorphismSearch,
+    _closure_rounds,
     all_congruences,
     direct_power,
     subalgebra_closure,
@@ -160,6 +161,23 @@ class ReflexiveEnumeration:
     truncated: bool
 
 
+def _principal(
+    square: FiniteAlgebra,
+    diag: frozenset[int],
+    p: int,
+    principal_of: dict[int, frozenset[int]],
+) -> frozenset[int]:
+    """Sg(diag + {p}), or the known principal of the first pair it
+    generates whose principal contains p."""
+    members = set(diag)
+    for fresh in _closure_rounds(square, {p}, diag):
+        for x in fresh:
+            if x in principal_of and p in principal_of[x]:
+                return principal_of[x]
+        members |= fresh
+    return frozenset(members)
+
+
 def enumerate_reflexive_compatible(
     a: FiniteAlgebra, budget: int = DEFAULT_RELATION_BUDGET
 ) -> ReflexiveEnumeration:
@@ -172,14 +190,18 @@ def enumerate_reflexive_compatible(
     from the principals by adding one principal at a time.  At most
     `budget` relations are kept and `truncated` is set exactly when more
     exist; which subset a truncated run keeps follows the join order
-    and is not a canonical choice.  Output is sorted by bit-set encoding."""
+    and is not a canonical choice.  Output is sorted by bit-set encoding.
+
+    Pairs are closed in increasing order, and a closure stops at the first
+    generated x whose principal is known and contains p: x in P_p gives
+    P_x <= P_p and p in P_x gives P_p <= P_x, so P_p = P_x."""
     square = direct_power(a, 2, budget=max(a.size * a.size, 1))
     diag = subalgebra_closure(square, (x * a.size + x for x in a.carrier))
-    principals = list(dict.fromkeys(
-        subalgebra_closure(square, (p,), closed=diag)
-        for p in range(square.size)
-        if p not in diag
-    ))
+    principal_of: dict[int, frozenset[int]] = {}
+    for p in range(square.size):
+        if p not in diag:
+            principal_of[p] = _principal(square, diag, p, principal_of)
+    principals = list(dict.fromkeys(principal_of.values()))
     found = [diag]
     seen = {diag}
 

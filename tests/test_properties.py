@@ -126,6 +126,77 @@ def test_enumeration_on_squares_matches_brute_force(table):
     assert [r.mask for r in enum.relations] == brute_force_reflexive(square)
 
 
+@pytest.mark.parametrize("n, k", [(2, 1), (2, 2), (3, 1)])
+def test_enumeration_on_meet_semilattice_powers_matches_brute_force(n, k):
+    # the meet of two pairs has a smaller code, so a closure generates
+    # pairs whose principals are known; those principals nest, and many
+    # are strictly smaller than the principal being closed
+    chain = sc.FiniteAlgebra(
+        sc.Signature((("meet", 2),)), n,
+        (tuple(min(x, y) for x in range(n) for y in range(n)),),
+    )
+    power = sc.direct_power(chain, k)
+    enum = sc.enumerate_reflexive_compatible(power, budget=4096)
+    assert not enum.truncated
+    assert [r.mask for r in enum.relations] == brute_force_reflexive(power)
+
+
+def reference_enumeration(a, budget):
+    """The enumeration as first written: close the principal of every pair
+    in full, keep the distinct ones in order of their first pair, then
+    join-close them.  Returns (ascending masks, truncated)."""
+    square = sc.direct_power(a, 2, budget=a.size * a.size)
+    diag = sc.subalgebra_closure(square, (x * a.size + x for x in a.carrier))
+    principals = list(dict.fromkeys(
+        sc.subalgebra_closure(square, (p,), closed=diag)
+        for p in range(square.size)
+        if p not in diag
+    ))
+    found, seen = [diag], {diag}
+
+    def admit(r):
+        if r in seen:
+            return True
+        if len(found) >= budget:
+            return False
+        seen.add(r)
+        found.append(r)
+        return True
+
+    truncated = not all(admit(p) for p in principals)
+    i = 1
+    while not truncated and i < len(found):
+        r = found[i]
+        i += 1
+        for p in principals:
+            if p <= r or r | p in seen:
+                continue
+            if not admit(sc.subalgebra_closure(square, p - r, closed=r)):
+                truncated = True
+                break
+    return sorted(sum(1 << q for q in state) for state in found), truncated
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(mixed_algebras(), st.data())
+def test_enumeration_on_squares_matches_reference(a, data):
+    # a truncated run keeps the first relations in principal and join
+    # order, so budgets of 1 to 20 pin that order.  Only 2-element bases
+    # also run unbounded (every reflexive relation on the 4-element square
+    # fits): on a 3-element base with only constants, all 2**72 reflexive
+    # relations on the 9-element square are compatible.  30 examples,
+    # since the reference closes every principal of an 81-element square
+    # in full
+    square = sc.direct_power(a, 2)
+    budgets = st.integers(1, 20)
+    if a.size == 2:
+        budgets |= st.just(2 ** (square.size * (square.size - 1)))
+    budget = data.draw(budgets)
+    enum = sc.enumerate_reflexive_compatible(square, budget=budget)
+    masks = [r.mask for r in enum.relations]
+    assert (masks, enum.truncated) == reference_enumeration(square, budget)
+
+
 @PROPERTY_SETTINGS
 @given(small_algebras(), st.integers(1, 2), st.data())
 def test_closure_over_closed_subuniverse(a, power, data):
