@@ -6,7 +6,12 @@ Times, each call in full, with `time.perf_counter`:
 - `all_congruences` on the squares of ringZ4 and bool4 (congruence
   lattice);
 - `substitution_graph` of ringZ2 at 0, which builds both free models and
-  a term operation per element (free-model layer);
+  a term operation per element (free-model layer), and the graph route
+  (`substitution_graph`, then `graph_left_star_symmetric`) of ringZ3 and
+  ringZ4 at 0, whose free models do not fit the clone budget; each of
+  these two runs under a LIMIT_S-second interval timer in the child, and
+  its verdict reads `stopped` when the timer ran out (`raised <error>`
+  when the call raised);
 - the endomorphisms that check-identities quantifies over, on the
   6-element group Z6, and `graph_left_star_symmetric` on the substitution
   graph of ringZ2 at 0 (homomorphism search);
@@ -57,6 +62,7 @@ import json
 import os
 import pathlib
 import platform
+import signal
 import statistics
 import subprocess
 import sys
@@ -65,6 +71,35 @@ import time
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 REPEATS = 5
+LIMIT_S = 5.0
+
+
+class Stopped(Exception):
+    """Raised by the interval timer of a limited case."""
+
+
+def limited(call):
+    """``call`` under a LIMIT_S-second interval timer; its verdict is
+    `stopped` when the timer runs out first and `raised <error>` when the
+    call raises."""
+
+    def stop(signum, frame):
+        raise Stopped
+
+    def run():
+        previous = signal.signal(signal.SIGALRM, stop)
+        signal.setitimer(signal.ITIMER_REAL, LIMIT_S)
+        try:
+            return call()
+        except Stopped:
+            return "stopped"
+        except Exception as exc:
+            return f"raised {type(exc).__name__}"
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+
+    return run
 
 
 def group_text(n: int) -> str:
@@ -154,6 +189,16 @@ def cases(sc, tmp: pathlib.Path):
         return f"{v.verdict.value} nodes={v.nodes}"
 
     out.append(("graph symmetry ringZ2 e=0", sigma))
+
+    for n in (3, 4):
+        ring = sc.parse_algebra(ring_text(n))
+
+        def graph_route(ring=ring):
+            g = sc.substitution_graph(ring, 0)
+            v = sc.graph_left_star_symmetric(sc.ProtoPointed(), g.g0, g.g1)
+            return f"{v.verdict.value} binary={len(g.binary_model)}"
+
+        out.append((f"graph route ringZ{n} e=0", limited(graph_route)))
 
     ring4 = sc.parse_algebra((ROOT / "corpus" / "ringZ4.alg").read_text())
     square = sc.direct_power(ring4, 2)

@@ -6,9 +6,10 @@ owns the pair-bit layout: left star-symmetry walks only the star's pairs
 witness is the first pair of the two composites' difference, so both
 witnesses are the lexicographically first.  The graph checker searches
 for the connecting homomorphism between the kernels of the two legs with
-`algebra.HomomorphismSearch`.  The whole-algebra audit runs four condition
-suites over the congruences and the enumerated reflexive compatible
-relations of one algebra, deciding left star-symmetry once per relation.
+`algebra.HomomorphismSearch`, and is INCONCLUSIVE on a graph without
+legs.  The whole-algebra audit runs four condition suites over the
+congruences and the enumerated reflexive compatible relations of one
+algebra, deciding left star-symmetry once per relation.
 A single finite algebra can only certify counterexamples: a
 failure refutes the variety it generates, while a clean audit is evidence,
 not a proof (positive variety-level certificates come from the term
@@ -116,24 +117,36 @@ def check_star_permutes(
 
 @dataclass(frozen=True)
 class GraphSymmetryVerdict:
+    """Outcome of the graph check; ``budget`` names the budget that an
+    INCONCLUSIVE verdict spent, with its use as ``used/limit``."""
+
     verdict: Verdict
     sigma: tuple[tuple[int, int], ...] | None = None
     blocked_element: int | None = None
     nodes: int = 0
+    budget: str | None = None
 
 
 def graph_left_star_symmetric(
     ctx: IdealContext,
-    g0: Homomorphism,
-    g1: Homomorphism,
+    g0: Homomorphism | None,
+    g1: Homomorphism | None,
     node_budget: int = DEFAULT_SIGMA_NODE_BUDGET,
+    *,
+    spent: str | None = None,
 ) -> GraphSymmetryVerdict:
     """Search for a homomorphism sigma between the kernels of the two legs
     that swaps their images: g1(sigma(t)) = g0(t) and g0(sigma(t)) = g1(t).
 
     sigma is the first map `HomomorphismSearch` finds from K0 into K1, so
     it is reproducible.  An exhausted node budget yields INCONCLUSIVE,
-    which is distinct from a definite failure."""
+    which is distinct from a definite failure.  A missing leg (None, the
+    legs of a substitution graph whose free models did not close) yields
+    INCONCLUSIVE as well, naming ``spent`` or else the clone budget: FAIL
+    only comes from complete legs."""
+    if g0 is None or g1 is None:
+        budget = spent or "clone-cells"
+        return GraphSymmetryVerdict(Verdict.INCONCLUSIVE, budget=budget)
     if g0.domain != g1.domain or g0.codomain != g1.codomain:
         raise ValueError("graph legs must share domain and codomain")
     k1 = sorted(n_kernel(ctx, g1))
@@ -148,7 +161,11 @@ def graph_left_star_symmetric(
     try:
         images = next(iter(search), None)
     except BudgetError:
-        return GraphSymmetryVerdict(Verdict.INCONCLUSIVE, nodes=search.nodes)
+        # the search raises on the first node past the budget
+        budget = f"sigma-nodes {min(search.nodes, node_budget)}/{node_budget}"
+        return GraphSymmetryVerdict(
+            Verdict.INCONCLUSIVE, nodes=search.nodes, budget=budget
+        )
     if images is None:
         return GraphSymmetryVerdict(Verdict.FAIL, nodes=search.nodes)
     sigma = tuple(zip(search.domain, images))

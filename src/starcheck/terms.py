@@ -398,24 +398,69 @@ class SubstitutionGraph:
     """The reflexive graph from the 2-generated free model to the
     1-generated one: g0 substitutes the marked constant element for the
     second generator, g1 substitutes the first generator; delta includes
-    unary terms as binary ones and splits both legs."""
+    unary terms as binary ones and splits both legs.
 
-    g0: Homomorphism
-    g1: Homomorphism
-    delta: Homomorphism
+    When a free model did not close within the clone budget, the legs
+    are None, the models are the partial ones and ``budget`` names the
+    spent budget as ``clone-cells F(n) used/limit`` elements."""
+
+    g0: Homomorphism | None
+    g1: Homomorphism | None
+    delta: Homomorphism | None
     binary_model: FreeAlgebraModel
     unary_model: FreeAlgebraModel
+    budget: str | None = None
+
+
+def _model_limit(a: FiniteAlgebra, budget: int) -> int:
+    """The largest m whose induced tables, m ** arity cells for each
+    operation of positive arity, fit in ``budget`` cells; ``budget``
+    itself when no operation has positive arity."""
+    arities = [arity for _, arity, _ in a.operations() if arity > 0]
+    if not arities:
+        return budget
+    top = max(arities)
+
+    def cells(m: int) -> int:
+        return sum(m ** arity for arity in arities)
+
+    # the top-arity tables alone bound m from above
+    m = int((budget / arities.count(top)) ** (1 / top))
+    while cells(m + 1) <= budget:
+        m += 1
+    while m and cells(m) > budget:
+        m -= 1
+    return m
 
 
 def substitution_graph(
     a: FiniteAlgebra, e: int, budget: int = DEFAULT_CLONE_BUDGET
 ) -> SubstitutionGraph:
+    """The substitution graph F(2) => F(1) at the constant element e.
+
+    ``budget`` bounds, in table cells, both the clone rounds and the
+    induced tables of each materialized model: a model stops at m
+    elements, the largest m whose induced tables fit.  A model that does
+    not close by then gives a graph without legs, not an error."""
     if e not in constants_subalgebra(a):
         raise ValueError(f"element {e} is not generated by the constants")
-    binary = free_term_operations(a, 2, budget)
-    unary = free_term_operations(a, 1, budget)
-    if not (binary.complete and unary.complete):
-        raise BudgetError("free models did not close within the clone budget")
+    budget = max(budget, 0)
+    m = _model_limit(a, budget)
+    models, spent = [], []
+    for n in (2, 1):
+        cells = a.size ** n
+        limit = min(budget // cells, m)
+        if limit > 0:
+            model = free_term_operations(a, n, limit * cells)
+        else:  # not one table fits
+            model = FreeAlgebraModel(a, n, (), False)
+        models.append(model)
+        if not model.complete:
+            spent.append(f"F({n}) {len(model)}/{limit}")
+    binary, unary = models
+    if spent:
+        budget_text = "clone-cells " + ", ".join(spent)
+        return SubstitutionGraph(None, None, None, binary, unary, budget_text)
     size = a.size
     f2 = binary.as_algebra(f"{a.name or 'A'}.free2")
     f1 = unary.as_algebra(f"{a.name or 'A'}.free1")

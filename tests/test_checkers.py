@@ -171,6 +171,20 @@ class TestGraphChecker:
         v = sc.graph_left_star_symmetric(sc.Total(), ident, ident, node_budget=1)
         assert v.verdict is Verdict.INCONCLUSIVE
 
+    def test_node_budget_is_named(self, set3):
+        ident = sc.identity_homomorphism(set3)
+        v = sc.graph_left_star_symmetric(sc.Total(), ident, ident, node_budget=2)
+        assert v.budget == "sigma-nodes 2/2"
+
+    def test_missing_leg_is_inconclusive(self, set3):
+        ident = sc.identity_homomorphism(set3)
+        for g0, g1 in [(None, None), (ident, None), (None, ident)]:
+            v = sc.graph_left_star_symmetric(sc.Pointed(0), g0, g1)
+            assert v.verdict is Verdict.INCONCLUSIVE
+            assert v.budget == "clone-cells"
+        v = sc.graph_left_star_symmetric(sc.Pointed(0), None, None, spent="clone-cells F(2) 3/3")
+        assert v.budget == "clone-cells F(2) 3/3"
+
 
 class TestEnumeration:
     def test_empty_signature_two_elements(self, set2):

@@ -587,6 +587,24 @@ def test_free_model_algebra_matches_product_loop(a, generators):
         assert model.as_algebra().tables == product_loop_tables(a, points)
 
 
+@PROPERTY_SETTINGS
+@given(st.lists(st.integers(1, 3), min_size=1, max_size=2), st.integers(1, 5000), st.data())
+def test_graph_route_tables_fit_the_clone_budget(arities, budget, data):
+    # FAIL only from complete free models: a graph without legs is INCONCLUSIVE
+    a = data.draw(mixed_algebras([0, *arities]))
+    e = data.draw(st.sampled_from(sorted(sc.constants_subalgebra(a))))
+    graph = sc.substitution_graph(a, e, budget)
+    verdict = sc.graph_left_star_symmetric(sc.Total(), graph.g0, graph.g1)
+    complete = graph.binary_model.complete and graph.unary_model.complete
+    assert (graph.g0 is not None) == complete == (graph.budget is None)
+    if complete:
+        for model in (graph.g0.domain, graph.g0.codomain):
+            assert sum(len(t) for _, k, t in model.operations() if k > 0) <= budget
+    else:
+        assert verdict.verdict is sc.Verdict.INCONCLUSIVE
+        assert graph.budget.startswith("clone-cells F(")
+
+
 def pair_sets(ns, nt):
     """Sets of pairs over a source of ns and a target of nt elements."""
     return st.frozensets(st.tuples(st.integers(0, ns - 1), st.integers(0, nt - 1)))

@@ -2,7 +2,28 @@ import pytest
 
 import starcheck as sc
 from starcheck.errors import BudgetError
-from starcheck.terms import SearchStatus
+from starcheck.terms import DEFAULT_CLONE_BUDGET, SearchStatus
+
+from conftest import load_algebra
+
+
+def ring_algebra(n: int) -> sc.FiniteAlgebra:
+    """The ring Z_n with the symbols of corpus/ringZ4.alg."""
+    add = tuple((x + y) % n for x in range(n) for y in range(n))
+    mul = tuple((x * y) % n for x in range(n) for y in range(n))
+    neg = tuple(-x % n for x in range(n))
+    signature = sc.Signature((("zero", 0), ("one", 0), ("add", 2), ("mul", 2), ("neg", 1)))
+    return sc.FiniteAlgebra(signature, n, ((0,), (1 % n,), add, mul, neg), f"ringZ{n}")
+
+
+def ring_model_limit(budget: int) -> int:
+    """The most elements whose induced ring tables, two binary and one
+    unary, fit in ``budget`` cells, by counting up."""
+    m = 0
+    while 2 * (m + 1) ** 2 + (m + 1) <= budget:
+        m += 1
+    return m
+
 
 class TestFreeModels:
     def test_monoid_binary_clone(self, monoid01):
@@ -217,6 +238,58 @@ class TestSubstitutionGraph:
     def test_element_must_be_generated_by_constants(self, monoid01):
         with pytest.raises(ValueError):
             sc.substitution_graph(monoid01, 1)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_unmaterializable_free_model_is_inconclusive(self, n):
+        # F(2) of Z3 has 3^9 elements, whose induced tables need ~775M cells
+        m = ring_model_limit(DEFAULT_CLONE_BUDGET)
+        cg = sc.substitution_graph(ring_algebra(n), 0)
+        assert not cg.binary_model.complete
+        assert len(cg.binary_model) <= m
+        assert (cg.g0, cg.g1, cg.delta) == (None, None, None)
+        assert cg.budget == f"clone-cells F(2) {len(cg.binary_model)}/{m}"
+        v = sc.graph_left_star_symmetric(sc.ProtoPointed(), cg.g0, cg.g1, spent=cg.budget)
+        assert v.verdict is sc.Verdict.INCONCLUSIVE
+        assert v.budget == cg.budget
+
+    def test_small_budget_is_inconclusive_not_an_error(self, ring_z2):
+        # 50 cells hold 12 tables of F(2) but the induced tables of 4 elements
+        cg = sc.substitution_graph(ring_z2, 0, budget=50)
+        assert len(cg.binary_model) == ring_model_limit(50) == 4
+        assert cg.budget == "clone-cells F(2) 4/4"
+        assert cg.unary_model.complete
+        v = sc.graph_left_star_symmetric(sc.ProtoPointed(), cg.g0, cg.g1)
+        assert v.verdict is sc.Verdict.INCONCLUSIVE
+        assert v.budget == "clone-cells"
+
+    def test_budget_below_one_element_gives_empty_models(self, ring_z2):
+        cg = sc.substitution_graph(ring_z2, 0, budget=2)
+        assert len(cg.binary_model) == len(cg.unary_model) == 0
+        assert cg.budget == "clone-cells F(2) 0/0, F(1) 0/0"
+
+    @pytest.mark.parametrize("name, e, verdict, sizes", [
+        ("bool2", 0, "PASS", (16, 4)),
+        ("bool2", 1, "PASS", (16, 4)),
+        ("bool4", 0, "PASS", (16, 4)),
+        ("bool4", 3, "PASS", (16, 4)),
+        ("groupZ2", 0, "PASS", (4, 2)),
+        ("heyt2", 0, "PASS", (16, 4)),
+        ("heyt2", 1, "PASS", (16, 4)),
+        ("ringZ2", 0, "PASS", (16, 4)),
+        ("ringZ2", 1, "PASS", (16, 4)),
+        ("ringZ2xZ2", 0, "PASS", (16, 4)),
+        ("ringZ2xZ2", 3, "PASS", (16, 4)),
+        ("monoid01", 0, "FAIL", (4, 2)),
+    ])
+    def test_corpus_verdicts(self, name, e, verdict, sizes):
+        cg = sc.substitution_graph(load_algebra(name), e)
+        assert cg.budget is None
+        assert (len(cg.binary_model), len(cg.unary_model)) == sizes
+        v = sc.graph_left_star_symmetric(sc.ProtoPointed(), cg.g0, cg.g1)
+        assert v.verdict.value == verdict
+        assert v.budget is None
+        if verdict == "FAIL":
+            assert cg.binary_model.elements[v.blocked_element].table == (0, 1, 0, 1)
 
 
 class TestVerifyIdentities:
