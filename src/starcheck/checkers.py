@@ -118,7 +118,9 @@ def check_star_permutes(
 @dataclass(frozen=True)
 class GraphSymmetryVerdict:
     """Outcome of the graph check; ``budget`` names the budget that an
-    INCONCLUSIVE verdict spent, with its use as ``used/limit``."""
+    INCONCLUSIVE verdict spent: ``clone-cells`` for a missing leg (the
+    substitution graph's ``budget`` holds its counts), ``sigma-nodes
+    used/limit`` for the node budget."""
 
     verdict: Verdict
     sigma: tuple[tuple[int, int], ...] | None = None
@@ -132,8 +134,6 @@ def graph_left_star_symmetric(
     g0: Homomorphism | None,
     g1: Homomorphism | None,
     node_budget: int = DEFAULT_SIGMA_NODE_BUDGET,
-    *,
-    spent: str | None = None,
 ) -> GraphSymmetryVerdict:
     """Search for a homomorphism sigma between the kernels of the two legs
     that swaps their images: g1(sigma(t)) = g0(t) and g0(sigma(t)) = g1(t).
@@ -142,11 +142,10 @@ def graph_left_star_symmetric(
     it is reproducible.  An exhausted node budget yields INCONCLUSIVE,
     which is distinct from a definite failure.  A missing leg (None, the
     legs of a substitution graph whose free models did not close) yields
-    INCONCLUSIVE as well, naming ``spent`` or else the clone budget: FAIL
-    only comes from complete legs."""
+    INCONCLUSIVE as well, naming the clone budget: FAIL only comes from
+    complete legs."""
     if g0 is None or g1 is None:
-        budget = spent or "clone-cells"
-        return GraphSymmetryVerdict(Verdict.INCONCLUSIVE, budget=budget)
+        return GraphSymmetryVerdict(Verdict.INCONCLUSIVE, budget="clone-cells")
     if g0.domain != g1.domain or g0.codomain != g1.codomain:
         raise ValueError("graph legs must share domain and codomain")
     k1 = sorted(n_kernel(ctx, g1))

@@ -438,13 +438,17 @@ def substitution_graph(
 ) -> SubstitutionGraph:
     """The substitution graph F(2) => F(1) at the constant element e.
 
-    ``budget`` bounds, in table cells, both the clone rounds and the
-    induced tables of each materialized model: a model stops at m
-    elements, the largest m whose induced tables fit.  A model that does
-    not close by then gives a graph without legs, not an error."""
+    ``budget`` (positive) bounds, in table cells, both the clone rounds
+    and the induced tables of each materialized model: a model stops at
+    m elements, the largest m whose induced tables fit, so a model
+    larger than m gives no legs even where budget // |A|^n of its tables
+    would fit (for a 3-element ring at the default budget, m = 315
+    against 22,222 tables of F(2)).  A model that does not close by then
+    gives a graph without legs, not an error."""
+    if budget < 1:
+        raise ValueError("the clone budget must be positive")
     if e not in constants_subalgebra(a):
         raise ValueError(f"element {e} is not generated by the constants")
-    budget = max(budget, 0)
     m = _model_limit(a, budget)
     models, spent = [], []
     for n in (2, 1):

@@ -182,8 +182,6 @@ class TestGraphChecker:
             v = sc.graph_left_star_symmetric(sc.Pointed(0), g0, g1)
             assert v.verdict is Verdict.INCONCLUSIVE
             assert v.budget == "clone-cells"
-        v = sc.graph_left_star_symmetric(sc.Pointed(0), None, None, spent="clone-cells F(2) 3/3")
-        assert v.budget == "clone-cells F(2) 3/3"
 
 
 class TestEnumeration:
