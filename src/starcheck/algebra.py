@@ -61,9 +61,6 @@ class Signature:
         return not self.symbols
 
 
-EMPTY_SIGNATURE = Signature(())
-
-
 def _encode(args: Iterable[int], size: int) -> int:
     idx = 0
     for a in args:
@@ -630,55 +627,29 @@ def all_congruences(
     return tuple(found[p] for p in ordered)
 
 
-# --- algebra document format ------------------------------------------------
+# --- document formats ---------------------------------------------------------
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_^.+-]*")
-_INT_RE = re.compile(r"\d+")
+# The one tokenizer of algebra documents, relation documents and
+# identities: a token is a name, a run of ASCII digits, or any single
+# character other than a space or a tab.  The grammars use the
+# punctuation = / [ ] ( ) , and no form accepts any other character.
+_TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_^.+-]*|[0-9]+|[^ \t]")
 
 
-class _LineParser:
-    def __init__(self, filename: str, lineno: int, text: str):
-        self.filename = filename
-        self.lineno = lineno
-        self.text = text
-        self.pos = 0
+def _tokens(text: str) -> list[str]:
+    return _TOKEN_RE.findall(text)
 
-    def error(self, message: str):
-        raise ParseError(self.filename, self.lineno, self.pos + 1, message)
 
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos] in " \t":
-            self.pos += 1
+_KINDS = dict.fromkeys("0123456789", "<int>") | dict.fromkeys(
+    "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_", "<name>"
+)
 
-    def at_end(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.text)
 
-    def literal(self, token: str):
-        self.skip_ws()
-        if not self.text.startswith(token, self.pos):
-            self.error(f"expected {token!r}")
-        self.pos += len(token)
-
-    def name(self) -> str:
-        self.skip_ws()
-        m = _NAME_RE.match(self.text, self.pos)
-        if not m:
-            self.error("expected a name")
-        self.pos = m.end()
-        return m.group()
-
-    def integer(self) -> int:
-        self.skip_ws()
-        m = _INT_RE.match(self.text, self.pos)
-        if not m:
-            self.error("expected an integer")
-        self.pos = m.end()
-        return int(m.group())
-
-    def finish(self):
-        if not self.at_end():
-            self.error("unexpected trailing text")
+def _kind(token: str) -> str:
+    """``<name>`` for a name, ``<int>`` for a run of digits, and the token
+    itself for punctuation and stray characters: the first character
+    decides, since the tokenizer takes names and digit runs whole."""
+    return _KINDS.get(token[0], token)
 
 
 def _content_lines(text: str) -> Iterator[tuple[int, str]]:
@@ -686,6 +657,48 @@ def _content_lines(text: str) -> Iterator[tuple[int, str]]:
         line = raw.split("#", 1)[0].rstrip()
         if line.strip():
             yield lineno, line
+
+
+def _line_error(
+    filename: str, lineno: int, line: str, index: int, message: str
+) -> ParseError:
+    """A ParseError at the column of token ``index`` of a content line, or
+    just past the line's end when it has fewer tokens."""
+    starts = [m.start() for m in _TOKEN_RE.finditer(line)]
+    column = starts[index] + 1 if index < len(starts) else len(line) + 1
+    return ParseError(filename, lineno, column, message)
+
+
+_EXPECTED = {"<name>": "a name", "<int>": "an integer"}
+
+
+def _read_line(filename: str, lineno: int, line: str, form: str) -> list:
+    """The slot values of a content line read against ``form``, a line
+    of tokens separated by spaces: ``<name>`` takes a name, ``<int>`` a
+    run of digits as an int, ``<ints>`` any number of runs as a list of
+    ints, and every other token must appear as written.  The first token
+    that does not fit raises ParseError at its column."""
+    tokens = _tokens(line)
+    values: list = []
+    at = 0
+    for slot in form.split():
+        if slot == "<ints>":
+            end = at
+            while end < len(tokens) and _kind(tokens[end]) == "<int>":
+                end += 1
+            values.append(list(map(int, tokens[at:end])))
+            at = end
+            continue
+        token = tokens[at] if at < len(tokens) else None
+        if token != slot:  # else a literal in place
+            if token is None or _kind(token) != slot:
+                message = f"expected {_EXPECTED.get(slot, repr(slot))}"
+                raise _line_error(filename, lineno, line, at, message)
+            values.append(int(token) if slot == "<int>" else token)
+        at += 1
+    if at < len(tokens):
+        raise _line_error(filename, lineno, line, at, "unexpected trailing text")
+    return values
 
 
 def parse_algebra(text: str, filename: str = "<algebra>") -> FiniteAlgebra:
@@ -697,71 +710,48 @@ def parse_algebra(text: str, filename: str = "<algebra>") -> FiniteAlgebra:
     lines = list(_content_lines(text))
     if not lines:
         raise ParseError(filename, 1, 1, "empty document")
-
-    lp = _LineParser(filename, lines[0][0], lines[0][1])
-    lp.literal("algebra")
-    name = lp.name()
-    lp.finish()
-
+    (name,) = _read_line(filename, *lines[0], "algebra <name>")
     if len(lines) < 2:
         raise ParseError(filename, lines[0][0], 1, "missing size line")
-    lp = _LineParser(filename, lines[1][0], lines[1][1])
-    lp.literal("size")
-    size = lp.integer()
-    lp.finish()
+    lineno, line = lines[1]
+    (size,) = _read_line(filename, lineno, line, "size <int>")
     if size < 1:
-        raise ParseError(filename, lines[1][0], 1, "size must be at least 1")
+        raise _line_error(filename, lineno, line, 1, "size must be at least 1")
 
     symbols: list[tuple[str, int]] = []
     tables: list[tuple[int, ...]] = []
     seen: set[str] = set()
     for lineno, line in lines[2:]:
-        lp = _LineParser(filename, lineno, line)
-        lp.skip_ws()
-        if line.lstrip().startswith("const"):
-            lp.literal("const")
-            sym = lp.name()
-            lp.literal("=")
-            value = lp.integer()
-            lp.finish()
-            if sym in seen:
-                lp.error(f"duplicate symbol {sym!r}")
-            if value >= size:
-                lp.error(f"constant value {value} out of range for size {size}")
-            seen.add(sym)
-            symbols.append((sym, 0))
-            tables.append((value,))
-        elif line.lstrip().startswith("op"):
-            lp.literal("op")
-            sym = lp.name()
-            lp.literal("/")
-            arity = lp.integer()
-            lp.literal("=")
-            lp.literal("[")
-            entries = []
-            while True:
-                lp.skip_ws()
-                if lp.pos < len(lp.text) and lp.text[lp.pos] == "]":
-                    lp.pos += 1
-                    break
-                entries.append(lp.integer())
-            lp.finish()
-            if sym in seen:
-                lp.error(f"duplicate symbol {sym!r}")
-            expected = size ** arity
-            if len(entries) != expected:
-                lp.error(
-                    f"table for {sym}/{arity} has {len(entries)} entries, "
-                    f"expected {expected}"
-                )
-            for v in entries:
-                if v >= size:
-                    lp.error(f"table entry {v} out of range for size {size}")
-            seen.add(sym)
-            symbols.append((sym, arity))
-            tables.append(tuple(entries))
+        keyword = _TOKEN_RE.search(line).group()  # the first token
+        # errors name a token by its index in the form read: the symbol is
+        # token 1, the "[" of a table token 5, its first value first_entry
+        if keyword == "const":
+            sym, value = _read_line(filename, lineno, line, "const <name> = <int>")
+            arity, entries, first_entry = 0, [value], 3
+        elif keyword == "op":
+            form = "op <name> / <int> = [ <ints> ]"
+            sym, arity, entries = _read_line(filename, lineno, line, form)
+            first_entry = 6
         else:
-            lp.error("expected a const or op line")
+            raise _line_error(filename, lineno, line, 0, "expected a const or op line")
+        if sym in seen:
+            raise _line_error(filename, lineno, line, 1, f"duplicate symbol {sym!r}")
+        if len(entries) != size ** arity:
+            raise _line_error(
+                filename, lineno, line, 5,
+                f"table for {sym}/{arity} has {len(entries)} entries, "
+                f"expected {size ** arity}",
+            )
+        if max(entries) >= size:
+            k = next(k for k, v in enumerate(entries) if v >= size)
+            what = "table entry" if arity else "constant value"
+            raise _line_error(
+                filename, lineno, line, first_entry + k,
+                f"{what} {entries[k]} out of range for size {size}",
+            )
+        seen.add(sym)
+        symbols.append((sym, arity))
+        tables.append(tuple(entries))
     return FiniteAlgebra(Signature(tuple(symbols)), size, tuple(tables), name)
 
 

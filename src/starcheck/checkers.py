@@ -22,6 +22,7 @@ import enum
 from dataclasses import dataclass
 
 from .algebra import (
+    DEFAULT_CONGRUENCE_SIZE_BUDGET,
     Congruence,
     FiniteAlgebra,
     Homomorphism,
@@ -296,7 +297,7 @@ def audit_algebra(
     ctx: IdealContext,
     a: FiniteAlgebra,
     max_relations: int = DEFAULT_RELATION_BUDGET,
-    congruence_size_budget: int = 8,
+    congruence_size_budget: int = DEFAULT_CONGRUENCE_SIZE_BUDGET,
 ) -> AuditReport:
     """Run the four condition suites on one algebra.
 

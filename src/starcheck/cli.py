@@ -35,6 +35,8 @@ from .algebra import (
     Homomorphism,
     HomomorphismSearch,
     _content_lines,
+    _line_error,
+    _read_line,
     all_congruences,
     constants_subalgebra,
     parse_algebra,
@@ -102,37 +104,24 @@ def parse_relation(
     lines = list(_content_lines(text))
     if len(lines) < 2:
         raise ParseError(filename, 1, 1, "expected relation and algebra headers")
-
-    lineno, line = lines[0]
-    parts = line.split()
-    if len(parts) != 2 or parts[0] != "relation":
-        raise ParseError(filename, lineno, 1, "expected 'relation <name>'")
-    name = parts[1]
-
+    (name,) = _read_line(filename, *lines[0], "relation <name>")
     lineno, line = lines[1]
-    parts = line.split()
-    if len(parts) != 2 or parts[0] != "algebra":
-        raise ParseError(filename, lineno, 1, "expected 'algebra <name>'")
-    if parts[1] != algebra.name:
-        raise ParseError(
-            filename, lineno, 1,
-            f"relation is over algebra {parts[1]!r}, not {algebra.name!r}",
+    (over,) = _read_line(filename, lineno, line, "algebra <name>")
+    if over != algebra.name:
+        raise _line_error(
+            filename, lineno, line, 1,
+            f"relation is over algebra {over!r}, not {algebra.name!r}",
         )
 
     pairs: set[tuple[int, int]] = set()
     duplicates: list[tuple[int, int]] = []
     n = algebra.size
     for lineno, line in lines[2:]:
-        parts = line.split()
-        if len(parts) != 3 or parts[0] != "pair":
-            raise ParseError(filename, lineno, 1, "expected 'pair <a> <b>'")
-        try:
-            a, b = int(parts[1]), int(parts[2])
-        except ValueError:
-            raise ParseError(filename, lineno, 1, "pair elements must be integers")
-        if not (0 <= a < n and 0 <= b < n):
-            raise ParseError(
-                filename, lineno, 1, f"pair ({a},{b}) out of range for size {n}"
+        a, b = _read_line(filename, lineno, line, "pair <int> <int>")
+        if a >= n or b >= n:
+            raise _line_error(
+                filename, lineno, line, 1 if a >= n else 2,
+                f"pair ({a},{b}) out of range for size {n}",
             )
         if (a, b) in pairs:
             duplicates.append((a, b))

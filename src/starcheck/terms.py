@@ -15,9 +15,10 @@ of `algebra`, which also owns the flat-table encoding they use.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
-import re
 from dataclasses import dataclass
+from typing import Iterable
 
 from .algebra import (
     FiniteAlgebra,
@@ -26,7 +27,9 @@ from .algebra import (
     _encode,
     _first_mismatch,
     _induced_tables,
+    _kind,
     _projections,
+    _tokens,
     constants_subalgebra,
 )
 from .errors import BudgetError
@@ -128,25 +131,36 @@ class TermOperation:
 class FreeAlgebraModel:
     """The n-generated free algebra of the variety generated by ``base``,
     realized as term-operation tables; complete when the closure reached
-    its fixpoint within budget."""
+    its fixpoint within budget.
+
+    The model keeps the clone's (table, term) pairs: ``index`` maps each
+    table to its element's position, and ``elements`` builds the checked
+    TermOperations only when first read."""
 
     def __init__(
         self,
         base: FiniteAlgebra,
         generators: int,
-        elements: tuple[TermOperation, ...],
+        clone: Iterable[tuple[tuple[int, ...], Term]],
         complete: bool,
     ):
         self.base = base
         self.generators = generators
-        self.elements = elements
         self.complete = complete
-        self.index = {op.table: i for i, op in enumerate(elements)}
-        if len(self.index) != len(elements):
+        self._clone = tuple(clone)
+        self.index = {table: i for i, (table, _) in enumerate(self._clone)}
+        if len(self.index) != len(self._clone):
             raise ValueError("element tables must be pairwise distinct")
 
+    @functools.cached_property
+    def elements(self) -> tuple[TermOperation, ...]:
+        return tuple(
+            TermOperation(self.base, self.generators, table, term)
+            for table, term in self._clone
+        )
+
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self._clone)
 
     def __iter__(self):
         return iter(self.elements)
@@ -155,7 +169,7 @@ class FreeAlgebraModel:
         """Materialize as a finite algebra with the induced operations."""
         if not self.complete:
             raise ValueError("only a complete model can be materialized")
-        tables = _induced_tables(self.base, [op.table for op in self.elements])
+        tables = _induced_tables(self.base, list(self.index))
         return FiniteAlgebra(self.base.signature, len(self), tables, name)
 
 
@@ -246,8 +260,7 @@ def free_term_operations(
     for elements, complete, exhausted in _clone_rounds(a, n, budget):
         if exhausted:
             break
-    ops = tuple(TermOperation(a, n, table, term) for table, term in elements)
-    return FreeAlgebraModel(a, n, ops, complete)
+    return FreeAlgebraModel(a, n, elements, complete)
 
 
 def _certify(a, arity, table, term, identities, symbol) -> TermOperation:
@@ -400,9 +413,11 @@ class SubstitutionGraph:
     second generator, g1 substitutes the first generator; delta includes
     unary terms as binary ones and splits both legs.
 
-    When a free model did not close within the clone budget, the legs
-    are None, the models are the partial ones and ``budget`` names the
-    spent budget as ``clone-cells F(n) used/limit`` elements."""
+    When F(2) did not close within the clone budget, the legs are None,
+    ``binary_model`` is the partial model, ``unary_model`` is empty and
+    incomplete, since F(1) is not built, and ``budget`` names the spent
+    budget as ``clone-cells F(2) used/limit`` elements.  F(1) embeds in
+    F(2) under a limit at least F(2)'s, so it closes whenever F(2) does."""
 
     g0: Homomorphism | None
     g1: Homomorphism | None
@@ -443,28 +458,23 @@ def substitution_graph(
     m elements, the largest m whose induced tables fit, so a model
     larger than m gives no legs even where budget // |A|^n of its tables
     would fit (for a 3-element ring at the default budget, m = 315
-    against 22,222 tables of F(2)).  A model that does not close by then
-    gives a graph without legs, not an error."""
+    against 22,222 tables of F(2)).  An F(2) that does not close by then
+    gives a graph without legs, not an error, and F(1) is not built."""
     if budget < 1:
         raise ValueError("the clone budget must be positive")
     if e not in constants_subalgebra(a):
         raise ValueError(f"element {e} is not generated by the constants")
     m = _model_limit(a, budget)
-    models, spent = [], []
+    models = {n: FreeAlgebraModel(a, n, (), False) for n in (2, 1)}
     for n in (2, 1):
         cells = a.size ** n
         limit = min(budget // cells, m)
-        if limit > 0:
-            model = free_term_operations(a, n, limit * cells)
-        else:  # not one table fits
-            model = FreeAlgebraModel(a, n, (), False)
-        models.append(model)
-        if not model.complete:
-            spent.append(f"F({n}) {len(model)}/{limit}")
-    binary, unary = models
-    if spent:
-        budget_text = "clone-cells " + ", ".join(spent)
-        return SubstitutionGraph(None, None, None, binary, unary, budget_text)
+        if limit > 0:  # else not one table fits
+            models[n] = free_term_operations(a, n, limit * cells)
+        if not models[n].complete:
+            budget_text = f"clone-cells F({n}) {len(models[n])}/{limit}"
+            return SubstitutionGraph(None, None, None, models[2], models[1], budget_text)
+    binary, unary = models[2], models[1]
     size = a.size
     f2 = binary.as_algebra(f"{a.name or 'A'}.free2")
     f1 = unary.as_algebra(f"{a.name or 'A'}.free1")
@@ -472,7 +482,7 @@ def substitution_graph(
     def substitute(source, target, cells):
         # each source element to the target element whose table it reads at cells
         return tuple(
-            target.index[tuple(map(op.table.__getitem__, cells))] for op in source
+            target.index[tuple(map(table.__getitem__, cells))] for table in source.index
         )
 
     at_e = [x * size + e for x in range(size)]
@@ -486,18 +496,6 @@ def substitution_graph(
 
 # --- identity verification ---------------------------------------------------
 
-_TOKEN_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*|\d+|[(),=])|(\S)")
-
-
-def _tokenize(text: str) -> list[str]:
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        if m.group(2):
-            raise ValueError(f"bad character in identity: {text[m.start():]!r}")
-        tokens.append(m.group(1))
-    return tokens
-
-
 class _IdentityParser:
     """Parses ``lhs = rhs`` into two Var/App trees whose App symbols cannot
     shadow each other: a signature symbol keeps its name, the candidate
@@ -507,7 +505,7 @@ class _IdentityParser:
         if identity.count("=") != 1:
             raise ValueError(f"identity needs exactly one '=': {identity!r}")
         self.identity = identity
-        self.tokens = _tokenize(identity)[::-1]  # a stack: next token last
+        self.tokens = _tokens(identity)[::-1]  # a stack: next token last
         self.algebra = algebra
         self.symbol = symbol
         self.t_arity = t_arity
@@ -536,11 +534,14 @@ class _IdentityParser:
 
     def parse_term(self) -> Term:
         tok = self.take()
-        if tok.isdigit():
+        kind = _kind(tok)
+        if kind == "<int>":
             value = int(tok)
             if value >= self.algebra.size:
                 raise ValueError(f"element literal {value} out of range")
             return App(value, ())
+        if kind != "<name>":
+            raise ValueError(f"expected a term, got {tok!r} in {self.identity!r}")
         if self.peek() != "(":
             return self._resolve(tok, None)
         self.take()

@@ -39,6 +39,17 @@ class TestParsing:
         assert exc.value.line == 3
         assert "a.alg:3:" in str(exc.value)
 
+    @pytest.mark.parametrize("text, line, column", [
+        ("algebra a\nsize \uff12\n", 2, 6),  # a non-ASCII digit
+        ("algebra a\nsize 2\nop f/1 = [0 2]\n", 3, 13),
+        ("algebra a\nsize 2\nconst c = 0\nconst c = 1\n", 4, 7),
+        ("algebra a\nsize 2\nop f/1 = [0]\n", 3, 10),
+    ])
+    def test_error_column_at_offending_token(self, text, line, column):
+        with pytest.raises(ParseError) as exc:
+            sc.parse_algebra(text, "a.alg")
+        assert (exc.value.line, exc.value.column) == (line, column)
+
     def test_duplicate_symbol(self):
         text = "algebra a\nsize 2\nconst c = 0\nconst c = 1\n"
         with pytest.raises(ParseError, match="duplicate"):

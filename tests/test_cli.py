@@ -57,6 +57,18 @@ class TestRelationParsing:
         with pytest.raises(sc.ParseError, match="out of range"):
             parse_relation(text, set2)
 
+    @pytest.mark.parametrize("pair, column", [
+        ("pair 0_1 +0", 7),
+        ("pair \uff10 1", 6),  # a non-ASCII digit
+        ("pair 0 x", 8),
+        ("pair 0 5", 8),
+    ])
+    def test_error_column_at_offending_token(self, set2, pair, column):
+        text = f"relation r\nalgebra set2\n{pair}\n"
+        with pytest.raises(sc.ParseError) as exc:
+            parse_relation(text, set2)
+        assert (exc.value.line, exc.value.column) == (3, column)
+
     def test_duplicates_deduplicated_with_warning(self, set2):
         text = "relation r\nalgebra set2\npair 0 1\npair 0 1\n"
         parsed = parse_relation(text, set2)

@@ -4,6 +4,7 @@ sixteen for opposites), and over stacks of up to eight masks on one to
 five elements.  Examples are derandomized, so every run checks the same
 ones."""
 
+import dataclasses
 import itertools
 
 import pytest
@@ -528,6 +529,20 @@ def naive_power(a, k):
 @given(mixed_algebras(), st.integers(1, 3))
 def test_direct_power_matches_coordinatewise_reference(a, k):
     assert sc.direct_power(a, k).tables == naive_power(a, k)
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.lists(st.integers(0, 3), min_size=1, max_size=3),
+    st.from_regex(r"[A-Za-z_][A-Za-z0-9_^.+-]*", fullmatch=True),
+    st.data(),
+)
+def test_algebra_document_round_trip(arities, name, data):
+    # a document lists constants first, so only such signatures come back
+    # in order; an unnamed algebra writes a bare `algebra` line
+    a = dataclasses.replace(data.draw(mixed_algebras(sorted(arities, key=bool))), name=name)
+    parsed = sc.parse_algebra(sc.serialize_algebra(a))
+    assert parsed == a and parsed.name == name
 
 
 def naive_commutation_violation(a, b, m):

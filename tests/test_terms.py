@@ -47,6 +47,15 @@ class TestFreeModels:
         assert model.complete and len(model) == 1
         assert model.elements[0].table == (0, 1, 2)
 
+    def test_elements_are_checked_when_read(self, ring_z2):
+        # the model keeps (table, term) pairs: size and index read tables
+        # only, and each tree is checked against its table once elements is
+        pairs = [((0, 1), sc.Var(0)), ((1, 1), sc.App("zero", ()))]
+        model = sc.FreeAlgebraModel(ring_z2, 1, pairs, True)
+        assert len(model) == 2 and model.index == {(0, 1): 0, (1, 1): 1}
+        with pytest.raises(ValueError, match="does not evaluate"):
+            model.elements
+
     def test_tables_pairwise_distinct_and_coherent(self, bool2, group_z2):
         for a, n in [(bool2, 2), (group_z2, 3)]:
             model = sc.free_term_operations(a, n)
@@ -270,7 +279,8 @@ class TestSubstitutionGraph:
         cg = sc.substitution_graph(ring_z2, 0, budget=50)
         assert len(cg.binary_model) == ring_model_limit(50) == 4
         assert cg.budget == "clone-cells F(2) 4/4"
-        assert cg.unary_model.complete
+        # F(1) is not built once F(2) stopped short
+        assert len(cg.unary_model) == 0 and not cg.unary_model.complete
         v = sc.graph_left_star_symmetric(sc.ProtoPointed(), cg.g0, cg.g1)
         assert v.verdict is sc.Verdict.INCONCLUSIVE
         assert v.budget == "clone-cells"
@@ -278,7 +288,7 @@ class TestSubstitutionGraph:
     def test_budget_below_one_element_gives_empty_models(self, ring_z2):
         cg = sc.substitution_graph(ring_z2, 0, budget=2)
         assert len(cg.binary_model) == len(cg.unary_model) == 0
-        assert cg.budget == "clone-cells F(2) 0/0, F(1) 0/0"
+        assert cg.budget == "clone-cells F(2) 0/0"
 
     @pytest.mark.parametrize("budget", [0, -1])
     def test_budget_must_be_positive(self, ring_z2, budget):
@@ -313,9 +323,16 @@ class TestVerifyIdentities:
 
     def test_malformed_identities(self, bool2):
         t = sc.TermOperation(bool2, 1, (1, 0), sc.App("not", (sc.Var(0),)))
-        for bad in ["s(x)", "s(x)=x=x", "s(x)=frob(x)", "s(x,y)=x", "s(x)=9"]:
+        for bad in ["s(x)", "s(x)=x=x", "s(x)=frob(x)", "s(x,y)=x", "s(x)=9",
+                    "s(x)=x!", "s(x)=\uff10"]:
             with pytest.raises(ValueError):
                 sc.verify_term_identities(t, [bad])
+
+    def test_operation_names_follow_the_document_rule(self):
+        # identities read names as algebra documents do, so m+ is one name
+        a = sc.parse_algebra("algebra right\nsize 2\nop m+/2 = [0 1 0 1]\n")
+        t = sc.TermOperation(a, 2, (0, 0, 1, 1), sc.App("m+", (sc.Var(1), sc.Var(0))))
+        assert sc.verify_term_identities(t, ["s(x, y) = m+(y, x)"]).holds
 
 
 class TestCertificateSoundness:
