@@ -5,8 +5,9 @@ Times, each call in full, with `time.perf_counter`:
   ringZ4^2 (256-entry tables), `cli.parse_relation` on every corpus
   `.rel` document, and `verify_term_identities` on the e-subtractive
   witness found for ringZ2 at 0 (the readers of the input grammars);
-- `find_e_subtractive_terms` on the rings Z5, Z6 and Z8 and
-  `find_maltsev_term` on groupZ2 (clone layer);
+- `find_e_subtractive_terms` on the rings Z5, Z6, Z8 and Z9 (the last
+  two spend the clone budget, Z9 inside a round) and `find_maltsev_term`
+  on groupZ2 (clone layer);
 - `all_congruences` on the squares of ringZ4 and bool4 (congruence
   lattice);
 - `substitution_graph` of ringZ2 at 0, which builds both free models and
@@ -45,10 +46,11 @@ Times, each call in full, with `time.perf_counter`:
   sha256 of the reports.
 Every starcheck cache is cleared before each call, so each one starts as
 cold as in a fresh process.  As in `perfbench/run.py`, one repeat calls
-a case again until REPEAT_UNTIL_S seconds are spent and keeps its
-fastest call: on a shared machine interference only ever adds time, and
-single calls cannot resolve sub-millisecond cases.  A case's figure is
-the median of its repeats.  One invocation times every label given, each label importing
+a case again until REPEAT_UNTIL_S seconds are spent, and at least
+MIN_CALLS times, and keeps its fastest call: on a shared machine
+interference only ever adds time, single calls cannot resolve
+sub-millisecond cases, and a slow case timed by one call moves with the
+machine.  A case's figure is the median of its repeats.  One invocation times every label given, each label importing
 starcheck from its own `src` directory in its own child interpreter, and
 the label that runs first changes on every repeat, so drift of the
 machine spreads over all labels instead of showing as a difference
@@ -80,6 +82,7 @@ import time
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 REPEATS = 5
 REPEAT_UNTIL_S = 0.05
+MIN_CALLS = 3
 LIMIT_S = 5.0
 
 
@@ -172,7 +175,7 @@ def cases(sc, tmp: pathlib.Path):
         return f"holds={verdict.holds}"
 
     out.append(("verify e-subtractive ringZ2 e=0", verify))
-    for n in (5, 6, 8):
+    for n in (5, 6, 8, 9):
         a = sc.parse_algebra(ring_text(n))
 
         def subtractive(a=a):
@@ -378,7 +381,7 @@ def serve(src: str) -> None:
         for line in sys.stdin:
             call = calls[line.strip()]
             times = []
-            while sum(times) < REPEAT_UNTIL_S:
+            while len(times) < MIN_CALLS or sum(times) < REPEAT_UNTIL_S:
                 clear_caches()
                 start = time.perf_counter()
                 verdict = call()
@@ -455,7 +458,8 @@ def main(argv=None) -> int:
     doc["machine"] = machine()
     doc["method"] = (
         f"time.perf_counter around each full call; a repeat calls the case"
-        f" until {REPEAT_UNTIL_S} s are spent and keeps the fastest call;"
+        f" until {REPEAT_UNTIL_S} s are spent and at least {MIN_CALLS} times,"
+        " and keeps the fastest call;"
         f" median of {REPEATS} repeats after one warm-up repeat; starcheck"
         " caches cleared before every call; each label in its own child"
         " interpreter, the label that runs first rotating on every repeat"

@@ -6,8 +6,8 @@ operations are stored as flat value tables in lexicographic argument order
 hashable, so results can be cached and compared structurally.
 
 `_compose` applies a table to whole argument value streams at C level;
-homomorphism checks, induced subalgebras and the clone in `terms` are
-built on it.  A direct power needs no lookup at all: a point's position is
+homomorphism checks, induced subalgebras and term evaluation in `terms`
+are built on it.  A direct power needs no lookup at all: a point's position is
 its base-n code, so `direct_power` computes its tables by code arithmetic.
 """
 

@@ -3,7 +3,11 @@
 The n-ary term operations of a finite algebra are generated breadth-first
 from the projections and constants, each new value table paired with the
 first syntax tree that produced it; a tree is checked against its table
-only where a term leaves the clone.  One search loop over the growing
+only where a term leaves the clone.  A round evaluates each operation
+at once for each argument prefix's batch of last arguments, on tables
+packed as bytes; prefixes and batches follow the order of a plain
+lexicographic scan, so element order, first-found terms and budget
+cut-offs do not depend on the batching.  One search loop over the growing
 clone decides whether the generated variety has subtraction-style binary
 terms for its constants, or a ternary Mal'tsev term, and certifies each
 witness; absence certificates are only issued when the clone closure
@@ -17,6 +21,7 @@ from __future__ import annotations
 import enum
 import functools
 import itertools
+import sys
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -43,12 +48,12 @@ def variable_name(index: int) -> str:
     return _VAR_NAMES[index] if index < len(_VAR_NAMES) else f"x{index + 1}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Var:
     index: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class App:
     symbol: str
     args: tuple  # of Var | App
@@ -173,73 +178,108 @@ class FreeAlgebraModel:
         return FiniteAlgebra(self.base.signature, len(self), tables, name)
 
 
-def _fresh_tuples(count: int, frontier: int, arity: int):
-    """Argument tuples over range(count) holding at least one index
-    >= frontier, in lexicographic order."""
-    if arity == 0:
-        return
-    for c in range(count):
-        if c >= frontier:
-            for rest in itertools.product(range(count), repeat=arity - 1):
-                yield (c, *rest)
-        else:
-            for rest in _fresh_tuples(count, frontier, arity - 1):
-                yield (c, *rest)
+# byte width of a pool cell: its native memoryview format
+_CELL_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
 def _clone_rounds(a: FiniteAlgebra, n: int, budget: int):
     """Yield (elements, complete, exhausted) after seeding and after each
     closure round, the elements as (table, term) pairs; rounds apply every
     basic operation to all argument tuples that involve at least one
-    element from the previous round.
+    element from the previous round.  A budget below one table stops the
+    closure at seeding, with no element.
 
     Invariant that fixes the element order, the first-found terms and the
     budget cut-off (and so the golden reports): within a round the
-    operations are taken in signature order, and each is applied to its
-    fresh tuples in lexicographic order of element positions, exactly as
-    a scan of every tuple over the round's snapshot that skips the
-    all-old ones would."""
+    operations are taken in signature order, each over its argument
+    prefixes (all arguments but the last) in lexicographic order, and each
+    prefix over its batch of last arguments in ascending order: the whole
+    snapshot the round started from if the prefix holds an element that
+    the previous round added, else only those elements.  That is exactly a
+    scan of every tuple over the snapshot that skips the all-old ones.
+
+    Kernel: every element's table lies packed in ``pool``, ``width`` bytes
+    per cell, where ``width`` holds every operation's table index.  A
+    batch's table indexes are one big-int multiply-add, the prefix's
+    index cells (repeated once per batch member) times the carrier size
+    plus the batch's cells, with no carry between cells; its values are
+    one lookup over those index bytes, cut into element keys.  A key
+    already seen costs a bytes slice and a set probe; only a key that is
+    inserted gets its term and its tuple table."""
     size = a.size
     tab_len = size ** n
-    if tab_len > budget:
-        raise BudgetError(
-            f"table length {tab_len} exceeds the clone budget {budget}"
-        )
     max_elements = budget // tab_len
+    cells = max((size ** arity for _, arity, _ in a.operations()), default=1)
+    width, code = next(
+        (w, c) for w, c in _CELL_CODES.items() if cells <= 256 ** w
+    )
+    step = tab_len * width  # bytes per element in the pool
+    order = sys.byteorder
+
+    # a 1-byte cell reads its value with bytes.translate on a 256-byte
+    # table, a wider one from a list of packed values
+    positive = [
+        (sym, arity, bytes(table).ljust(256, b"\0") if width == 1
+         else [v.to_bytes(width, order) for v in table])
+        for sym, arity, table in a.operations() if arity > 0
+    ]
 
     elements: list[tuple[tuple[int, ...], Term]] = []
-    index: dict[tuple[int, ...], int] = {}
+    keys: set[bytes] = set()
+    pool = bytearray()
     exhausted = False
 
-    def insert(table: tuple[int, ...], term: Term) -> bool:
+    def insert(key: bytes, term: Term) -> None:
+        # key is not in keys
         nonlocal exhausted
-        if table in index:
-            return False
         if len(elements) >= max_elements:
             exhausted = True
-            return False
-        index[table] = len(elements)
-        elements.append((table, term))
-        return True
+            return
+        keys.add(key)
+        pool.extend(key)
+        elements.append((tuple(memoryview(key).cast(code)), term))
 
-    for i, proj in enumerate(_projections(size, n)):
-        insert(proj, Var(i))
-    for sym, arity, table in a.operations():
-        if arity == 0:
-            insert(tuple(_compose(table, size, (), tab_len)), App(sym, ()))
+    seeds = [(proj, Var(i)) for i, proj in enumerate(_projections(size, n))]
+    seeds += [
+        ((table[0],) * tab_len, App(sym, ()))
+        for sym, arity, table in a.operations() if arity == 0
+    ]
+    for table, term in seeds:
+        key = b"".join(v.to_bytes(width, order) for v in table)
+        if key not in keys:
+            insert(key, term)
     yield elements, False, exhausted
 
-    positive = [
-        (sym, arity, table) for sym, arity, table in a.operations() if arity > 0
-    ]
     frontier = 0
     while not exhausted:
         snapshot = len(elements)
+        with memoryview(pool) as view:
+            runs = {
+                lo: int.from_bytes(view[lo * step:snapshot * step], order)
+                for lo in {0, frontier}
+            }
         for sym, arity, table in positive:
-            for combo in _fresh_tuples(snapshot, frontier, arity):
-                arg_tables, arg_terms = zip(*map(elements.__getitem__, combo))
-                result = tuple(_compose(table, size, arg_tables, tab_len))
-                insert(result, App(sym, arg_terms))
+            for prefix in itertools.product(range(snapshot), repeat=arity - 1):
+                lo = frontier if all(c < frontier for c in prefix) else 0
+                count = snapshot - lo
+                head = 0
+                for c in prefix:
+                    packed = pool[c * step:(c + 1) * step]
+                    head = head * size + int.from_bytes(packed, order)
+                heads = int.from_bytes(head.to_bytes(step, order) * count, order)
+                indexes = (heads * size + runs[lo]).to_bytes(count * step, order)
+                if width == 1:
+                    values = indexes.translate(table)
+                else:
+                    wide = memoryview(indexes).cast(code)
+                    values = b"".join(map(table.__getitem__, wide))
+                prefix_terms = tuple(elements[c][1] for c in prefix)
+                for last, start in enumerate(range(0, count * step, step), lo):
+                    key = values[start:start + step]
+                    if key not in keys:
+                        insert(key, App(sym, (*prefix_terms, elements[last][1])))
+                        if exhausted:
+                            break
                 if exhausted:
                     break
             if exhausted:
@@ -255,7 +295,12 @@ def _clone_rounds(a: FiniteAlgebra, n: int, budget: int):
 def free_term_operations(
     a: FiniteAlgebra, n: int, budget: int = DEFAULT_CLONE_BUDGET
 ) -> FreeAlgebraModel:
-    """Close the projections and constants under all basic operations."""
+    """Close the projections and constants under all basic operations; a
+    budget below one table is a BudgetError."""
+    if a.size ** n > budget:
+        raise BudgetError(
+            f"table length {a.size ** n} exceeds the clone budget {budget}"
+        )
     elements, complete = [], False
     for elements, complete, exhausted in _clone_rounds(a, n, budget):
         if exhausted:

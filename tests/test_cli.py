@@ -159,13 +159,23 @@ class TestExitCodes:
         assert code == 3
 
     def test_clone_budget_inconclusive_exit(self):
-        code, out = run_cli([
-            "find-terms", "--algebra", "corpus/ringZ4.alg",
-            "--kind", "e-subtractive", "--context", "proto",
-            "--clone-budget", "64", "--machine",
-        ])
-        assert code == 3
-        assert "INCONCLUSIVE reason=clone-budget" in out
+        # 10 cells hold not one 16-cell table: the report still has its header
+        for budget, size in (("64", 4), ("10", 0)):
+            code, out = run_cli([
+                "find-terms", "--algebra", "corpus/ringZ4.alg",
+                "--kind", "e-subtractive", "--context", "proto",
+                "--clone-budget", budget, "--machine",
+            ])
+            lines = out.splitlines()
+            assert code == 3
+            assert lines[0] == (
+                "RUN command=find-terms algebra=ringZ4 context=proto kind=e-subtractive"
+            )
+            assert lines[1] == f"INFO clone-size={size} complete=false"
+            assert lines[2:] == [
+                f"CHECK subtractive-term[e={e}] INCONCLUSIVE reason=clone-budget"
+                for e in range(4)
+            ]
 
     def test_internal_fault_exit(self, monkeypatch, capsys):
         # a certification failure must not pass for an ABSENT verdict (1)
@@ -391,7 +401,10 @@ class TestHumanReports:
         # nothing is certified, so no trailer
         ("groupZ2", ["--clone-budget", "10"], 3,
          ["  maltsev term: inconclusive, clone budget exhausted"]),
-    ], ids=["found", "absent", "inconclusive"])
+        # 7 cells hold not one 8-cell ternary table
+        ("groupZ2", ["--clone-budget", "7"], 3,
+         ["  maltsev term: inconclusive, clone budget exhausted"]),
+    ], ids=["found", "absent", "inconclusive", "below-one-table"])
     def test_maltsev_verdicts(self, algebra, flags, code, tail):
         got, out = run_cli(["find-terms", "--algebra", f"corpus/{algebra}.alg",
                             "--kind", "maltsev", *flags])

@@ -1,14 +1,16 @@
-"""Property tests over random small algebras on two or three elements,
-over relations between bare sets of one to four elements (up to
-sixteen for opposites), and over stacks of up to eight masks on one to
-five elements.  Examples are derandomized, so every run checks the same
+"""Property tests over random small algebras on two or three elements
+(the clone rounds also on fixed 7-, 16- and 17-element ones), over
+relations between bare sets of one to four elements (up to sixteen for
+opposites), and over stacks of up to eight masks on one to five
+elements.  Examples are derandomized, so every run checks the same
 ones."""
 
 import dataclasses
 import itertools
+import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import starcheck as sc
@@ -275,10 +277,30 @@ def reference_clone_rounds(a, n, budget):
     yield rendered(), False, True
 
 
+def seeded_operation_algebra(size, arity):
+    """One operation of the given arity with a seeded random table."""
+    rng = random.Random(size * 10 + arity)
+    table = tuple(rng.randrange(size) for _ in range(size**arity))
+    return sc.FiniteAlgebra(sc.Signature((("f", arity),)), size, (table,))
+
+
+def with_wide_cells(test):
+    """Explicit examples whose operation tables have 256 cells (the most
+    that one byte indexes), 289 and 343 cells, each at budgets of 1 to 20
+    unary elements."""
+    for size, arity in ((16, 2), (17, 2), (7, 3)):
+        a = seeded_operation_algebra(size, arity)
+        for max_elements in range(1, 21):
+            test = example(a, 1, max_elements)(test)
+    return test
+
+
 @PROPERTY_SETTINGS
+@with_wide_cells
 @given(mixed_algebras(), st.integers(1, 2), st.integers(1, 20))
 def test_clone_rounds_match_reference(a, n, max_elements):
-    # budgets of 1 to 20 elements: small ones run out inside a round
+    # budgets of 1 to 20 elements: small ones run out inside a round, and
+    # some inside one argument prefix's batch
     budget = max_elements * a.size**n
     rounds = [
         ([(table, term_text(term)) for table, term in elements], complete, exhausted)

@@ -116,9 +116,11 @@ class TestSubtractiveSearch:
         assert result.missing == (0,)
 
     def test_budget_exhaustion_is_inconclusive(self, ring_z4):
-        result = sc.find_e_subtractive_terms(ring_z4, budget=64)
-        assert result.status is SearchStatus.INCONCLUSIVE
-        assert not result.complete
+        # a budget below one 16-cell table stops the search at seeding
+        for budget, clone_size in ((64, 4), (10, 0)):
+            result = sc.find_e_subtractive_terms(ring_z4, budget=budget)
+            assert result.status is SearchStatus.INCONCLUSIVE
+            assert not result.complete and result.clone_size == clone_size
 
     def test_identities_hold_pointwise(self, bool4, ring_z2xz2):
         for a in (bool4, ring_z2xz2):
