@@ -40,6 +40,11 @@ Times, each call in full, with `time.perf_counter`:
   under pointed:0, whose family of 313 members comes from enumeration
   (the square is written to a temporary file with `serialize_algebra`);
   its verdict is the exit code and the sha256 of the report;
+- `star_via_pullback` on every member of the family check-identities
+  builds (`cli._identity_family`) for the 4-element chain lattice under
+  pointed:bot (200 relations) and for ringZ9 under proto, and the
+  `Homomorphism` construction of the identity of ringZ9 (law-star-pullback:
+  induced pair algebras and commutation checks);
 - every command of `tests/cli_matrix.GOLDEN_RUNS` through
   `starcheck.cli.main` from the repository root, with the caches cleared
   before each command (end to end); its verdict is the exit codes and the
@@ -138,6 +143,17 @@ def ring_text(n: int) -> str:
         f"algebra ringZ{n}\nsize {n}\nconst zero = 0\nconst one = {1 % n}\n"
         f"op add/2 = [{row(add)}]\nop mul/2 = [{row(mul)}]\n"
         f"op neg/1 = [{row(neg)}]\n"
+    )
+
+
+def lattice_text(n: int) -> str:
+    """The n-element chain as a lattice with its bottom as the constant
+    bot (as perfbench's chain_lattice)."""
+    meet = " ".join(str(min(a, b)) for a in range(n) for b in range(n))
+    join = " ".join(str(max(a, b)) for a in range(n) for b in range(n))
+    return (
+        f"algebra lattice{n}\nsize {n}\nconst bot = 0\n"
+        f"op meet/2 = [{meet}]\nop join/2 = [{join}]\n"
     )
 
 
@@ -327,6 +343,26 @@ def cases(sc, tmp: pathlib.Path):
     square_file.write_text(sc.serialize_algebra(monoid_square))
     out.append(("check-identities monoid01^2 pointed:0",
                 lambda: check_identities(square_file, "pointed:0")))
+
+    from starcheck.cli import DEFAULT_RELATION_BUDGET, _identity_family
+
+    ring9 = sc.parse_algebra(ring_text(9))
+    for a, context in ((sc.parse_algebra(lattice_text(4)), "pointed:bot"),
+                       (ring9, "proto")):
+        ctx = sc.parse_context(context)
+        sc.validate_context(ctx, a)
+        members = _identity_family(a, ctx, DEFAULT_RELATION_BUDGET)[0]
+
+        def pullback(ctx=ctx, members=members):
+            pairs = sum(len(sc.star_via_pullback(ctx, r)) for r in members)
+            return f"relations={len(members)} pairs={pairs}"
+
+        out.append((f"star_via_pullback {a.name} {context} family", pullback))
+
+    def identity_ring9():
+        return f"image={len(sc.Homomorphism(ring9, ring9, tuple(ring9.carrier)).image)}"
+
+    out.append(("Homomorphism identity ringZ9", identity_ring9))
 
     sys.path.insert(0, str(ROOT / "tests"))
     from cli_matrix import GOLDEN_RUNS

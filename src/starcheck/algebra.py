@@ -6,9 +6,12 @@ operations are stored as flat value tables in lexicographic argument order
 hashable, so results can be cached and compared structurally.
 
 `_compose` applies a table to whole argument value streams at C level;
-homomorphism checks, induced subalgebras and term evaluation in `terms`
-are built on it.  A direct power needs no lookup at all: a point's position is
-its base-n code, so `direct_power` computes its tables by code arithmetic.
+term evaluation in `terms` is built on it.  Homomorphism checks and induced
+subalgebras evaluate an operation at every tuple over one column of values
+through the row kernel `_product_values`: an argument prefix fixes a row of
+the table, and each distinct row is gathered over the column once.  A
+direct power needs no lookup at all: a point's position is its base-n code,
+so `direct_power` computes its tables by code arithmetic.
 """
 
 from __future__ import annotations
@@ -98,6 +101,28 @@ def _compose(table, size: int, arg_tables, tab_len: int) -> Iterator[int]:
     return map(table.__getitem__, idx)
 
 
+def _product_values(table, size: int, column, arity: int) -> Iterator[int]:
+    """The values f(column[i1], ..., column[ik]) of the operation f with
+    flat ``table`` over {0..size-1} and the given arity, at every index
+    tuple (i1, ..., ik) in ``itertools.product`` order, as a lazy stream.
+
+    Row kernel: an argument prefix (all arguments but the last) fixes one
+    row of the table, the ``size`` entries whose index starts with the
+    prefix's values.  Each distinct row is gathered once over the whole
+    column of last arguments at C level, and the stream concatenates the
+    gathered rows in the lexicographic order of the prefixes."""
+    if not arity:
+        return iter((table[0],))
+    codes = [0]  # row numbers of the argument prefixes
+    for _ in range(arity - 1):
+        codes = [code * size + v for code in codes for v in column]
+    rows = {
+        code: tuple(map(table[code * size:(code + 1) * size].__getitem__, column))
+        for code in set(codes)
+    }
+    return itertools.chain.from_iterable(map(rows.__getitem__, codes))
+
+
 @dataclass(frozen=True, eq=False)
 class FiniteAlgebra:
     """A finite carrier {0..size-1} with one value table per symbol.
@@ -123,9 +148,9 @@ class FiniteAlgebra:
                     f"table for {sym}/{arity} has {len(table)} entries, "
                     f"expected {self.size ** arity}"
                 )
-            for v in table:
-                if not 0 <= v < self.size:
-                    raise ValueError(f"table entry {v} for {sym} out of range")
+            if min(table) < 0 or max(table) >= self.size:
+                v = next(v for v in table if not 0 <= v < self.size)
+                raise ValueError(f"table entry {v} for {sym} out of range")
         # once, not per lru_cache lookup keyed by this algebra; set like a
         # field, since materializing __dict__ would slow every attribute load
         object.__setattr__(self, "_hash", hash((self.signature, self.size, self.tables)))
@@ -203,9 +228,9 @@ def _check_map_shape(a: FiniteAlgebra, b: FiniteAlgebra, m: tuple[int, ...]):
         raise ValueError("domain and codomain must share a signature")
     if len(m) != a.size:
         raise ValueError(f"map has length {len(m)}, expected {a.size}")
-    for v in m:
-        if not 0 <= v < b.size:
-            raise ValueError(f"map value {v} out of codomain range")
+    if min(m) < 0 or max(m) >= b.size:
+        v = next(v for v in m if not 0 <= v < b.size)
+        raise ValueError(f"map value {v} out of codomain range")
 
 
 def _first_mismatch(left, right, size: int, arity: int):
@@ -219,12 +244,11 @@ def _first_mismatch(left, right, size: int, arity: int):
 
 def _commutation_violation(a, b, m):
     """First (symbol, args) where m fails to commute, or None: m∘f and
-    f∘(m, ..., m) are compared as value streams over a's argument tuples."""
-    n, image = a.size, m.__getitem__
+    f∘(m, ..., m) are compared as value streams over a's argument tuples,
+    the second gathered by `_product_values` over m."""
     for (sym, arity, table), btable in zip(a.operations(), b.tables):
-        args = [map(image, _digits(n, arity, i)) for i in range(arity)]
-        pushed = _compose(btable, b.size, args, len(table))
-        witness = _first_mismatch(map(image, table), pushed, n, arity)
+        pushed = _product_values(btable, b.size, m, arity)
+        witness = _first_mismatch(map(m.__getitem__, table), pushed, a.size, arity)
         if witness is not None:
             return sym, witness
     return None
@@ -364,21 +388,15 @@ def _induced_tables(
     """Tables of the subalgebra of a power of ``a`` on ``points``, a list
     of equal-length coordinate tuples closed under the operations: each
     entry is the position of a point, argument tuples of positions run in
-    ``itertools.product`` order.  A point outside the list raises KeyError."""
+    ``itertools.product`` order.  A point outside the list raises KeyError.
+
+    Each coordinate's values come from `_product_values` over that
+    coordinate's column, and the points they form are looked up once."""
     position = {p: i for i, p in enumerate(points)}
     columns = tuple(zip(*points))
-    m = len(points)
     tables = []
     for _, arity, table in a.operations():
-        coords = [
-            _compose(
-                table,
-                a.size,
-                [map(column.__getitem__, _digits(m, arity, j)) for j in range(arity)],
-                m ** arity,
-            )
-            for column in columns
-        ]
+        coords = [_product_values(table, a.size, column, arity) for column in columns]
         tables.append(tuple(map(position.__getitem__, zip(*coords))))
     return tuple(tables)
 

@@ -329,7 +329,7 @@ def star_via_pullback(ctx: IdealContext, r: Relation) -> Relation:
 
     _require_star_input(ctx, r)
     x = r.source
-    ps = sorted(r.pairs())
+    ps = list(r.pairs())
     if not ps:
         return Relation(x, x, 0, compatible=r._compatible)
     pair_algebra = FiniteAlgebra(x.signature, len(ps), _induced_tables(x, ps))

@@ -169,6 +169,19 @@ class TestHomomorphisms:
         with pytest.raises(ValueError):
             sc.check_homomorphism(ring_z2, ring_z2, [0, 5])
 
+    def test_out_of_range_value_messages(self, ring_z2):
+        # the range is checked by min and max; the message still names the
+        # first offending entry in table order
+        sig = sc.Signature((("f", 1), ("g", 2)))
+        with pytest.raises(ValueError, match=r"^table entry 7 for g out of range$"):
+            sc.FiniteAlgebra(sig, 2, ((0, 1), (0, 7, 1, -3)))
+        with pytest.raises(ValueError, match=r"^table entry -3 for g out of range$"):
+            sc.FiniteAlgebra(sig, 2, ((0, 1), (0, -3, 1, 7)))
+        with pytest.raises(ValueError, match=r"^map value 5 out of codomain range$"):
+            sc.Homomorphism(ring_z2, ring_z2, (5, -1))
+        with pytest.raises(ValueError, match=r"^map value -1 out of codomain range$"):
+            sc.check_homomorphism(ring_z2, ring_z2, [-1, 5])
+
     def test_constructor_rejects_non_homomorphism(self, monoid01):
         with pytest.raises(ValueError, match="commute"):
             sc.Homomorphism(monoid01, monoid01, (1, 0))

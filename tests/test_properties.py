@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import starcheck as sc
 from starcheck import cli
-from starcheck.algebra import _encode
+from starcheck.algebra import _encode, _induced_tables
 from starcheck.contexts import resolve_base
 from starcheck.relations import (
     _compose_masks,
@@ -622,6 +622,33 @@ def test_free_model_algebra_matches_product_loop(a, generators):
     if model.complete:
         points = [op.table for op in model]
         assert model.as_algebra().tables == product_loop_tables(a, points)
+
+
+def image_of_other_points(a, points):
+    """The first point, in signature and product order, that an operation
+    yields from argument points all different from it, or None."""
+    k = len(points[0])
+    for sym, arity, _ in a.operations():
+        for args in itertools.product(points, repeat=arity):
+            value = tuple(a.apply(sym, tuple(p[i] for p in args)) for i in range(k))
+            if value not in args:
+                return value
+    return None
+
+
+@PROPERTY_SETTINGS
+@given(mixed_algebras())
+def test_pair_algebra_tables_match_product_loop(a):
+    # a reflexive compatible relation is a subalgebra of the square, so its
+    # pairs are a closed list of 2-coordinate points, as star_via_pullback
+    # induces them
+    for r in sc.enumerate_reflexive_compatible(a).relations:
+        points = list(r.pairs())
+        assert _induced_tables(a, points) == product_loop_tables(a, points)
+        image = image_of_other_points(a, points)
+        if image is not None:
+            with pytest.raises(KeyError):
+                _induced_tables(a, [p for p in points if p != image])
 
 
 @PROPERTY_SETTINGS
