@@ -23,8 +23,9 @@ Times, each call in full, with `time.perf_counter`:
 - `direct_power(ringZ4^2, 2)`, the square that enumeration builds,
   `enumerate_reflexive_compatible` on ringZ4^2 (mostly principal
   closures) and on monoid01^2 (306 relations, mostly join closures), and
-  `audit_algebra` on ringZ4^2 under proto with a congruence budget of 16
-  (power and enumeration);
+  `audit_algebra` on ringZ4^2 under proto and on monoid01^2 under
+  pointed:zero, each with a congruence budget of 16 (power, enumeration
+  and the congruence lattice, as perfbench's squares workload audits);
 - the public `star(compose(s, r)) == compose(star(s), r)` loop over the
   512 x 512 relations of set3 under the total context, `compose(star(s),
   r)` over every pair of enumerated relations of monoid01^2 under
@@ -55,11 +56,19 @@ a case again until REPEAT_UNTIL_S seconds are spent, and at least
 MIN_CALLS times, and keeps its fastest call: on a shared machine
 interference only ever adds time, single calls cannot resolve
 sub-millisecond cases, and a slow case timed by one call moves with the
-machine.  A case's figure is the median of its repeats.  One invocation times every label given, each label importing
-starcheck from its own `src` directory in its own child interpreter, and
-the label that runs first changes on every repeat, so drift of the
-machine spreads over all labels instead of showing as a difference
-between them.  Results are merged into a JSON file under each label:
+machine.  A case's figures are the median and the fastest of its
+REPEATS repeats.  On a shared 2-vCPU machine, 5 repeats of 0.05 s left
+cases of 30-50 ms up to 40 % apart between two labels running the same
+code, so a repeat lasts 0.2 s and there are 9 of them.  Such a machine
+also changes speed for several repeats at a time (a 23 ms case read
+35 ms for four repeats of both labels), which can move one label's
+median and not the other's; the fastest repeat, which the labels share
+in time, is then the figure to compare.  One invocation times every
+label given, each label importing starcheck from its own `src` directory
+in its own child interpreter, and the label that runs first changes on
+every repeat, so drift of the machine spreads over all labels instead of
+showing as a difference between them.  Results are merged into a JSON
+file under each label:
 
     python scripts/bench.py --out BENCH.json --label parent=<other checkout>/src --label change
 
@@ -85,8 +94,8 @@ import tempfile
 import time
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-REPEATS = 5
-REPEAT_UNTIL_S = 0.05
+REPEATS = 9
+REPEAT_UNTIL_S = 0.2
 MIN_CALLS = 3
 LIMIT_S = 5.0
 
@@ -296,6 +305,14 @@ def cases(sc, tmp: pathlib.Path):
     out.append(("enumerate_reflexive_compatible monoid01^2",
                 lambda: enumeration(monoid_square)))
 
+    def monoid_audit():
+        report = sc.audit_algebra(
+            sc.parse_context("pointed:zero"), monoid_square, congruence_size_budget=16
+        )
+        return " ".join(f"{c.verdict.value}/{c.examined}" for c in report.conditions)
+
+    out.append(("audit_algebra monoid01^2 pointed:zero", monoid_audit))
+
     def symmetry():
         ctx = sc.Pointed(0)
         failed = sum(not sc.is_star_symmetric(ctx, r).holds for r in relations)
@@ -382,13 +399,21 @@ def cases(sc, tmp: pathlib.Path):
     return out
 
 
+def starcheck_caches() -> list:
+    """The memoized functions of every loaded starcheck module."""
+    return [
+        obj
+        for module in list(sys.modules.values())
+        if getattr(module, "__name__", "").startswith("starcheck.")
+        for obj in list(vars(module).values())
+        if hasattr(obj, "cache_clear")
+    ]
+
+
 def clear_caches():
     """Empty the memoized functions of every starcheck module."""
-    for module in list(sys.modules.values()):
-        if getattr(module, "__name__", "").startswith("starcheck."):
-            for obj in list(vars(module).values()):
-                if hasattr(obj, "cache_clear"):
-                    obj.cache_clear()
+    for cache in starcheck_caches():
+        cache.cache_clear()
 
 
 def machine() -> dict:
@@ -413,12 +438,15 @@ def serve(src: str) -> None:
 
     with tempfile.TemporaryDirectory() as tmp:
         calls = dict(cases(sc, pathlib.Path(tmp)))
+        # found once: scanning the modules costs ~0.2 ms, more than many cases
+        caches = starcheck_caches()
         print(json.dumps(list(calls)), flush=True)
         for line in sys.stdin:
             call = calls[line.strip()]
             times = []
             while len(times) < MIN_CALLS or sum(times) < REPEAT_UNTIL_S:
-                clear_caches()
+                for cache in caches:
+                    cache.cache_clear()
                 start = time.perf_counter()
                 verdict = call()
                 times.append(time.perf_counter() - start)
@@ -479,12 +507,15 @@ def main(argv=None) -> int:
                     runs[label].append(children[label].run(name)[0])
             for label in order:
                 median = statistics.median(runs[label])
+                fastest = min(runs[label])
                 results[label][name] = {
                     "median_s": round(median, 6),
+                    "fastest_s": round(fastest, 6),
                     "runs_s": [round(t, 6) for t in runs[label]],
                     "verdict": verdicts[label],
                 }
-                print(f"{label:>8}  {name:<40} {median:10.6f} s  {verdicts[label]}")
+                print(f"{label:>8}  {name:<40} {median:10.6f} s  fastest {fastest:10.6f} s"
+                      f"  {verdicts[label]}")
     finally:
         for child in children.values():
             child.close()
@@ -496,7 +527,7 @@ def main(argv=None) -> int:
         f"time.perf_counter around each full call; a repeat calls the case"
         f" until {REPEAT_UNTIL_S} s are spent and at least {MIN_CALLS} times,"
         " and keeps the fastest call;"
-        f" median of {REPEATS} repeats after one warm-up repeat; starcheck"
+        f" median and fastest of {REPEATS} repeats after one warm-up repeat; starcheck"
         " caches cleared before every call; each label in its own child"
         " interpreter, the label that runs first rotating on every repeat"
     )

@@ -11,7 +11,11 @@ subalgebras evaluate an operation at every tuple over one column of values
 through the row kernel `_product_values`: an argument prefix fixes a row of
 the table, and each distinct row is gathered over the column once.  A
 direct power needs no lookup at all: a point's position is its base-n code,
-so `direct_power` computes its tables by code arithmetic.
+so `direct_power` computes its tables by code arithmetic.  Subuniverse
+closures read the same rows, cut once per algebra (`_closure_rows`): a
+round gathers each row at a whole batch of last arguments at once.  The
+congruence lattice stops each principal congruence at the first union
+whose already known principal relates the generating pair.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import functools
 import itertools
 import re
 from dataclasses import dataclass, field
-from operator import add, ne
+from operator import add, itemgetter, ne
 from typing import Iterable, Iterator
 
 from .errors import BudgetError, ParseError
@@ -401,31 +405,63 @@ def _induced_tables(
     return tuple(tables)
 
 
-def _table_values(
-    table: tuple[int, ...], size: int, choices: list[list[int]]
-) -> set[int]:
-    """Values of a flat table on every argument tuple drawn from the
-    product of the per-position choices."""
-    offsets = [0]
-    for choice in choices[:-1]:
-        offsets = [(o + x) * size for o in offsets for x in choice]
-    return {table[o + x] for o in offsets for x in choices[-1]}
-
-
 def subalgebra_closure(
     a: FiniteAlgebra, seed: Iterable[int], closed: frozenset[int] = frozenset()
 ) -> frozenset[int]:
     """Least subuniverse containing the seed, all constants and `closed`,
     which must already be a subuniverse."""
     seed = set(seed)
-    for s in sorted(seed):
-        if not 0 <= s < a.size:
-            raise ValueError(f"seed element {s} out of range")
-    return frozenset(closed).union(*_closure_rounds(a, seed, closed))
+    if seed and (min(seed) < 0 or max(seed) >= a.size):
+        s = min(s for s in seed if not 0 <= s < a.size)
+        raise ValueError(f"seed element {s} out of range")
+    return frozenset(closed).union(*_closure_rounds(_algebra_rows(a), seed, closed))
+
+
+# the kinds of a round's argument choices: the elements the previous round
+# added, those and all earlier ones, and the earlier ones only
+_NEW, _ALL, _OLD = 0, 1, 2
+
+
+def _closure_rows(a: FiniteAlgebra) -> tuple:
+    """What `_closure_rounds` reads of ``a``: its size, the constants'
+    values, the plan of a round, and a batch's gatherer and the
+    concatenation of gathered rows."""
+    if a.size <= 256:
+        def cut(row):
+            return bytes(row).ljust(256, b"\0")
+
+        def gatherer(batch):
+            return bytes(batch).translate
+
+        concat = b"".join
+    else:
+        cut, concat = tuple, itertools.chain.from_iterable
+
+        def gatherer(batch):
+            # the first element repeated, so that it always returns a tuple
+            return itemgetter(batch[0], *batch)
+    n = a.size
+    constants = tuple(table[0] for _, arity, table in a.operations() if not arity)
+    plan = []
+    for _, arity, table in a.operations():
+        rows = tuple(cut(table[c:c + n]) for c in range(0, len(table), n))
+        for i in range(arity):
+            kinds = (_OLD,) * i + (_NEW,) + (_ALL,) * (arity - 1 - i)
+            plan.append((rows.__getitem__, kinds[:-1], kinds[-1]))
+    return n, constants, tuple(plan), gatherer, concat
+
+
+@functools.lru_cache(maxsize=None)
+def _algebra_rows(a: FiniteAlgebra) -> tuple:
+    """`_closure_rows` of an algebra that the caller holds, cut once.  A
+    caller closing in an algebra of its own making, such as the square
+    that enumeration builds, cuts the rows itself, so that they die with
+    the algebra instead of staying in this cache."""
+    return _closure_rows(a)
 
 
 def _closure_rounds(
-    a: FiniteAlgebra, seed: set[int], closed: frozenset[int]
+    rows: tuple, seed: set[int], closed: frozenset[int]
 ) -> Iterator[set[int]]:
     """The elements that each round of the closure of the in-range `seed`
     over the subuniverse `closed` adds, as disjoint sets: first the seed
@@ -436,14 +472,22 @@ def _closure_rounds(
     contain an element added in the previous round: the first such
     position ranges over the new elements, earlier positions over the old
     ones and later positions over all of them, so every tuple is applied
-    once and tuples inside `closed` never are."""
+    once and tuples inside `closed` never are.
+
+    Row layout (`_closure_rows`, once per algebra): row c of an operation
+    is the slice c·n..(c+1)·n of its flat table, its values at the
+    argument prefix (all arguments but the last) with lexicographic code
+    c.  The plan holds one step per operation and argument position: the
+    row getter and the kinds of the prefix's choices and of the last
+    argument's.  A step's tuples that share a prefix read one row at the
+    step's batch of last arguments, one gather at C level: on at most 256
+    points a row is a 256-byte table and the gather
+    ``bytes(batch).translate(row)``, on more a row is a tuple and the
+    gather an ``itemgetter``.  Rounds are sets, so what a round adds does
+    not depend on the order of the gathers."""
+    size, constants, plan, gatherer, concat = rows
     fresh = set(seed)
-    positive = []
-    for _, arity, table in a.operations():
-        if arity == 0:
-            fresh.add(table[0])
-        else:
-            positive.append((arity, table))
+    fresh.update(constants)
     members = list(closed)
     seen = set(closed)
     fresh -= seen
@@ -452,11 +496,17 @@ def _closure_rounds(
         seen |= fresh
         old, new = members, list(fresh)
         members = old + new
+        choices = (new, members, old)
+        batches = (gatherer(new), gatherer(members))
         fresh = set()
-        for arity, table in positive:
-            for i in range(arity):
-                choices = [old] * i + [new] + [members] * (arity - 1 - i)
-                fresh |= _table_values(table, a.size, choices)
+        for get, prefix, last in plan:
+            if prefix:
+                codes = choices[prefix[0]]
+                for kind in prefix[1:]:
+                    codes = [c * size + x for c in codes for x in choices[kind]]
+            else:
+                codes = (0,)
+            fresh.update(concat(map(batches[last], map(get, codes))))
         fresh -= seen
 
 
@@ -583,24 +633,39 @@ def _translations(a: FiniteAlgebra) -> tuple[tuple[int, ...], ...]:
     return tuple(found)
 
 
+def _unions(
+    a: FiniteAlgebra, uf: _UnionFind, pairs: Iterable[tuple[int, int]]
+) -> Iterator[tuple[int, int]]:
+    """Union every pair in `uf`, then move every union by every unary
+    translation until the partition is compatible; yields each union that
+    merged two blocks, as it is made.  A caller may stop early."""
+    queue: list[tuple[int, int]] = []
+    for x, y in pairs:
+        if uf.union(x, y):
+            queue.append((x, y))
+            yield x, y
+    translations = _translations(a)
+    while queue:
+        x, y = queue.pop()
+        for t in translations:
+            u, v = t[x], t[y]
+            if uf.union(u, v):
+                queue.append((u, v))
+                yield u, v
+
+
 def congruence_generated(
     a: FiniteAlgebra, pairs: Iterable[tuple[int, int]]
 ) -> Congruence:
     """Least congruence relating every given pair: union-find in which
     every union is queued and moved by every unary translation."""
+    pairs = sorted(set(pairs))
+    if pairs and (min(map(min, pairs)) < 0 or max(map(max, pairs)) >= a.size):
+        x, y = next(p for p in pairs if not (0 <= p[0] < a.size and 0 <= p[1] < a.size))
+        raise ValueError(f"pair ({x},{y}) out of range")
     uf = _UnionFind(a.size)
-    queue: list[tuple[int, int]] = []
-    for x, y in sorted(set(pairs)):
-        if not (0 <= x < a.size and 0 <= y < a.size):
-            raise ValueError(f"pair ({x},{y}) out of range")
-        if uf.union(x, y):
-            queue.append((x, y))
-    translations = _translations(a)
-    while queue:
-        x, y = queue.pop()
-        for t in translations:
-            if uf.union(t[x], t[y]):
-                queue.append((t[x], t[y]))
+    for _ in _unions(a, uf, pairs):
+        pass
     return Congruence(a, _canonical_partition(uf, a.size))
 
 
@@ -619,6 +684,14 @@ def all_congruences(
 
     Returned in a canonical order (partition tuples descending, so the
     discrete congruence comes first and the full one last).
+
+    The principal congruences Cg(x, y) are generated for x < y in
+    ``itertools.combinations`` order, and each stops early at the first
+    union (u, v) whose principal is already known and relates x and y:
+    (u, v) in Cg(x, y) gives Cg(u, v) <= Cg(x, y), and (x, y) in Cg(u, v)
+    gives the converse, so Cg(x, y) = Cg(u, v).  Stopping changes no
+    partition, and the lattice is a set sorted at the end, so neither the
+    result nor its order depends on where a generation stopped.
     """
     if a.size > size_budget:
         raise BudgetError(
@@ -628,9 +701,19 @@ def all_congruences(
     # one with the distinct principal ones reaches the whole lattice
     discrete = congruence_generated(a, ())
     found = {discrete.partition: discrete}
-    for pair in itertools.combinations(a.carrier, 2):
-        c = congruence_generated(a, [pair])
-        found.setdefault(c.partition, c)
+    principal_of: dict[tuple[int, int], tuple[int, ...]] = {}
+    for x, y in itertools.combinations(a.carrier, 2):
+        uf = _UnionFind(a.size)
+        for u, v in _unions(a, uf, [(x, y)]):
+            known = principal_of.get((u, v) if u < v else (v, u))
+            if known is not None and known[x] == known[y]:
+                partition = known
+                break
+        else:
+            partition = _canonical_partition(uf, a.size)
+        principal_of[x, y] = partition
+        if partition not in found:
+            found[partition] = Congruence(a, partition)
     principals = list(found)[1:]
     worklist = list(principals)
     while worklist:

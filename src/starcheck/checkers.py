@@ -28,9 +28,9 @@ from .algebra import (
     Homomorphism,
     HomomorphismSearch,
     _closure_rounds,
+    _closure_rows,
     all_congruences,
     direct_power,
-    subalgebra_closure,
 )
 from .contexts import IdealContext, n_kernel, validate_context
 from .errors import BudgetError
@@ -179,7 +179,7 @@ class ReflexiveEnumeration:
 
 
 def _principal(
-    square: FiniteAlgebra,
+    rows: tuple,
     diag: frozenset[int],
     p: int,
     principal_of: dict[int, frozenset[int]],
@@ -187,7 +187,7 @@ def _principal(
     """Sg(diag + {p}), or the known principal of the first pair it
     generates whose principal contains p."""
     members = set(diag)
-    for fresh in _closure_rounds(square, {p}, diag):
+    for fresh in _closure_rounds(rows, {p}, diag):
         for x in fresh:
             if x in principal_of and p in principal_of[x]:
                 return principal_of[x]
@@ -211,13 +211,23 @@ def enumerate_reflexive_compatible(
 
     Pairs are closed in increasing order, and a closure stops at the first
     generated x whose principal is known and contains p: x in P_p gives
-    P_x <= P_p and p in P_x gives P_p <= P_x, so P_p = P_x."""
+    P_x <= P_p and p in P_x gives P_p <= P_x, so P_p = P_x.
+
+    The diagonal, the principals and the joins run the closure kernel
+    `algebra._closure_rounds` directly, on rows cut once per call from the
+    square, which die with it.  Their seeds are in range by construction,
+    so they skip `subalgebra_closure`'s checks.  The kernel yields sets,
+    so the principals, the join order and the output do not depend on the
+    order in which a round gathers its elements."""
     square = direct_power(a, 2, budget=max(a.size * a.size, 1))
-    diag = subalgebra_closure(square, (x * a.size + x for x in a.carrier))
+    rows = _closure_rows(square)
+    diag = frozenset().union(
+        *_closure_rounds(rows, {x * a.size + x for x in a.carrier}, frozenset())
+    )
     principal_of: dict[int, frozenset[int]] = {}
     for p in range(square.size):
         if p not in diag:
-            principal_of[p] = _principal(square, diag, p, principal_of)
+            principal_of[p] = _principal(rows, diag, p, principal_of)
     principals = list(dict.fromkeys(principal_of.values()))
     found = [diag]
     seen = {diag}
@@ -241,7 +251,7 @@ def enumerate_reflexive_compatible(
             # found relations are closed, so a union already found is the join
             if p <= r or r | p in seen:
                 continue
-            if not admit(subalgebra_closure(square, p - r, closed=r)):
+            if not admit(r.union(*_closure_rounds(rows, p - r, r))):
                 truncated = True
                 break
 

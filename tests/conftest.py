@@ -17,6 +17,15 @@ def empty_set_algebra(n: int, name: str = "") -> sc.FiniteAlgebra:
     return sc.FiniteAlgebra(sc.Signature(()), n, (), name or f"set{n}")
 
 
+def ring_algebra(n: int) -> sc.FiniteAlgebra:
+    """The ring Z_n with the symbols of corpus/ringZ4.alg."""
+    add = tuple((x + y) % n for x in range(n) for y in range(n))
+    mul = tuple((x * y) % n for x in range(n) for y in range(n))
+    neg = tuple(-x % n for x in range(n))
+    signature = sc.Signature((("zero", 0), ("one", 0), ("add", 2), ("mul", 2), ("neg", 1)))
+    return sc.FiniteAlgebra(signature, n, ((0,), (1 % n,), add, mul, neg), f"ringZ{n}")
+
+
 def all_relations(a: sc.FiniteAlgebra):
     for mask in range(1 << (a.size * a.size)):
         yield sc.Relation(a, a, mask)

@@ -144,6 +144,14 @@ class TestClosure:
                 assert seed <= closed
                 assert sc.subalgebra_closure(a, closed) == closed
 
+    def test_out_of_range_seed_messages(self, bool4):
+        # the range is checked by min and max; the message still names the
+        # smallest offending element
+        with pytest.raises(ValueError, match=r"^seed element -2 out of range$"):
+            sc.subalgebra_closure(bool4, [5, 1, -2, 4, -1])
+        with pytest.raises(ValueError, match=r"^seed element 4 out of range$"):
+            sc.subalgebra_closure(bool4, [9, 1, 4, 7])
+
     def test_constants_subalgebra(self, monoid01, bool4, ring_z4):
         assert sc.constants_subalgebra(monoid01) == frozenset({0})
         assert sc.constants_subalgebra(bool4) == frozenset({0, 3})
@@ -230,6 +238,14 @@ class TestCongruences:
     def test_generated_empty_is_discrete(self, bool4):
         c = sc.congruence_generated(bool4, [])
         assert c.block_count == 4
+
+    def test_out_of_range_pair_messages(self, ring_z4):
+        # the range is checked by min and max; the message still names the
+        # first offending pair in sorted order
+        with pytest.raises(ValueError, match=r"^pair \(1,4\) out of range$"):
+            sc.congruence_generated(ring_z4, [(2, 9), (1, 4), (0, 1), (7, 0)])
+        with pytest.raises(ValueError, match=r"^pair \(-1,2\) out of range$"):
+            sc.congruence_generated(ring_z4, [(3, 5), (0, 1), (-1, 2)])
 
     def test_size_one(self, set1):
         assert len(sc.all_congruences(set1)) == 1

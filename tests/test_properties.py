@@ -1,21 +1,28 @@
 """Property tests over random small algebras on two or three elements
-(the clone rounds also on fixed 7-, 16- and 17-element ones), over
-relations between bare sets of one to four elements (up to sixteen for
-opposites), and over stacks of up to eight masks on one to five
-elements.  Examples are derandomized, so every run checks the same
-ones."""
+and their squares (the clone rounds also on fixed 7-, 16- and 17-element
+ones, closures on a fixed 300-element one, congruence lattices on fixed
+9- and 16-element squares), over relations between bare sets of one to
+four elements (up to sixteen for opposites), and over stacks of up to
+eight masks on one to five elements.  Examples are derandomized, so
+every run checks the same ones."""
 
 import dataclasses
 import itertools
 import random
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import starcheck as sc
 from starcheck import cli
-from starcheck.algebra import _encode, _induced_tables
+from starcheck.algebra import (
+    _closure_rounds,
+    _closure_rows,
+    _encode,
+    _induced_tables,
+    _join_partitions,
+)
 from starcheck.contexts import resolve_base
 from starcheck.relations import (
     _compose_masks,
@@ -32,6 +39,7 @@ from conftest import (
     compatible_partition,
     empty_set_algebra,
     load_algebra,
+    ring_algebra,
 )
 
 PROPERTY_SETTINGS = settings(
@@ -211,6 +219,84 @@ def test_closure_over_closed_subuniverse(a, power, data):
     assert grown == sc.subalgebra_closure(b, closed | seed)
     assert grown == naive_closure(b, closed | seed)
 
+
+
+def product_loop_values(table, size, choices):
+    """Values of a flat table on every argument tuple drawn from the
+    product of the per-position choices, cell by cell: the closure
+    kernel's loop before it gathered table rows."""
+    offsets = [0]
+    for choice in choices[:-1]:
+        offsets = [(o + x) * size for o in offsets for x in choice]
+    return {table[o + x] for o in offsets for x in choices[-1]}
+
+
+def reference_closure_rounds(a, seed, closed):
+    """The rounds of the closure of seed over closed, by
+    `product_loop_values`: the first position holding a new element
+    ranges over the new ones, earlier positions over the old ones and
+    later positions over all of them."""
+    fresh = set(seed)
+    positive = []
+    for _, arity, table in a.operations():
+        if arity == 0:
+            fresh.add(table[0])
+        else:
+            positive.append((arity, table))
+    members = list(closed)
+    seen = set(closed)
+    fresh -= seen
+    while fresh:
+        yield fresh
+        seen |= fresh
+        old, new = members, list(fresh)
+        members = old + new
+        fresh = set()
+        for arity, table in positive:
+            for i in range(arity):
+                choices = [old] * i + [new] + [members] * (arity - 1 - i)
+                fresh |= product_loop_values(table, a.size, choices)
+        fresh -= seen
+
+
+@PROPERTY_SETTINGS
+@given(mixed_algebras(), st.integers(1, 2), st.data())
+def test_closure_rounds_match_product_loop(a, power, data):
+    # arities 0 to 3, on the algebra and on its square (up to 9 points)
+    b = sc.direct_power(a, power)
+    subsets = st.frozensets(st.integers(0, b.size - 1), max_size=3)
+    closed = sc.subalgebra_closure(b, data.draw(subsets))
+    seed = set(data.draw(subsets))
+    rounds = list(_closure_rounds(_closure_rows(b), seed, closed))
+    assert rounds == list(reference_closure_rounds(b, seed, closed))
+    assert closed.union(*rounds) == naive_closure(b, closed | seed)
+
+
+def wide_algebra():
+    """300 points, more than a byte's codes: the constant 0, doubling and
+    x + 2y modulo 300, whose subuniverses include the multiples of each
+    divisor of 300."""
+    n = 300
+    signature = sc.Signature((("c", 0), ("u", 1), ("f", 2)))
+    tables = (
+        (0,),
+        tuple(2 * x % n for x in range(n)),
+        tuple((x + 2 * y) % n for x in range(n) for y in range(n)),
+    )
+    return sc.FiniteAlgebra(signature, n, tables)
+
+
+@pytest.mark.parametrize(
+    "closed_seed, seed", [((), (1,)), ((100,), (15,)), ((150,), (100,)), ((150,), (6, 299))]
+)
+def test_closure_rounds_on_wide_carrier(closed_seed, seed):
+    # the tuple-row path; a one-element batch too (100 over {0, 150})
+    a = wide_algebra()
+    closed = naive_closure(a, closed_seed)
+    rounds = list(_closure_rounds(_closure_rows(a), set(seed), closed))
+    assert rounds == list(reference_closure_rounds(a, set(seed), closed))
+    assert closed.union(*rounds) == naive_closure(a, closed | set(seed))
+    assert sc.subalgebra_closure(a, seed, closed=closed) == closed.union(*rounds)
 
 def _decode(idx, size, length):
     """The argument tuple with lexicographic code idx."""
@@ -494,6 +580,55 @@ def test_congruences_match_partition_filter(a):
         generated = sc.congruence_generated(a, [(x, y)]).partition
         assert generated == least_compatible_partition(a, x, y)
 
+
+
+def reference_all_congruences(a):
+    """The congruence lattice with every principal congruence generated in
+    full, then join-closed as `all_congruences` does."""
+    discrete = sc.congruence_generated(a, ())
+    found = {discrete.partition: discrete}
+    for pair in itertools.combinations(a.carrier, 2):
+        c = sc.congruence_generated(a, [pair])
+        found.setdefault(c.partition, c)
+    principals = list(found)[1:]
+    worklist = list(principals)
+    while worklist:
+        p = worklist.pop()
+        for q in principals:
+            j = _join_partitions(p, q)
+            if j not in found:
+                found[j] = sc.Congruence(a, j)
+                worklist.append(j)
+    return tuple(found[p] for p in sorted(found, reverse=True))
+
+
+@PROPERTY_SETTINGS
+@given(mixed_algebras())
+def test_early_stopping_congruences_match_reference(a):
+    # on the base and on its square: up to 9 points, so up to 36 principal
+    # congruences, most of them stopped at an earlier pair's.  The base
+    # runs too: a principal stopped at a smaller one is lost unless a join
+    # restores it, which on these squares it mostly does.  A square with
+    # many distinct principals is skipped, since its lattice may be huge:
+    # a bare 9-point set has 36 and 21,147 congruences, which take minutes
+    # to join-close
+    square = sc.direct_power(a, 2)
+    principals = {
+        sc.congruence_generated(square, [pair]).partition
+        for pair in itertools.combinations(square.carrier, 2)
+    }
+    assume(len(principals) <= 12)
+    for b in (a, square):
+        assert sc.all_congruences(b, b.size) == reference_all_congruences(b)
+
+
+@pytest.mark.parametrize(
+    "base", [load_algebra("ringZ4"), ring_algebra(3), load_algebra("bool4")],
+    ids=["ringZ4^2", "ringZ3^2", "bool4^2"],
+)
+def test_early_stopping_congruences_on_fixed_squares(base):
+    square = sc.direct_power(base, 2)
+    assert sc.all_congruences(square, square.size) == reference_all_congruences(square)
 
 @PROPERTY_SETTINGS
 @given(mixed_algebras())

@@ -4,16 +4,7 @@ import starcheck as sc
 from starcheck.errors import BudgetError
 from starcheck.terms import DEFAULT_CLONE_BUDGET, SearchStatus
 
-from conftest import load_algebra
-
-
-def ring_algebra(n: int) -> sc.FiniteAlgebra:
-    """The ring Z_n with the symbols of corpus/ringZ4.alg."""
-    add = tuple((x + y) % n for x in range(n) for y in range(n))
-    mul = tuple((x * y) % n for x in range(n) for y in range(n))
-    neg = tuple(-x % n for x in range(n))
-    signature = sc.Signature((("zero", 0), ("one", 0), ("add", 2), ("mul", 2), ("neg", 1)))
-    return sc.FiniteAlgebra(signature, n, ((0,), (1 % n,), add, mul, neg), f"ringZ{n}")
+from conftest import load_algebra, ring_algebra
 
 
 def ring_model_limit(budget: int) -> int:
