@@ -46,6 +46,9 @@ Times, each call in full, with `time.perf_counter`:
   pointed:bot (200 relations) and for ringZ9 under proto, and the
   `Homomorphism` construction of the identity of ringZ9 (law-star-pullback:
   induced pair algebras and commutation checks);
+- `congruences` on ringZ4 through `starcheck.cli.main`, a command whose
+  algebra costs less than building its parser (the CLI's fixed cost per
+  command); its verdict is the exit code and the sha256 of the report;
 - every command of `tests/cli_matrix.GOLDEN_RUNS` through
   `starcheck.cli.main` from the repository root, with the caches cleared
   before each command (end to end); its verdict is the exit codes and the
@@ -345,13 +348,16 @@ def cases(sc, tmp: pathlib.Path):
     out.append(("public star/inverse_image law set3 total", inverse_image_star))
     out.append(("is_star_symmetric monoid01^2 pointed:0", symmetry))
 
-    def check_identities(path, context):
+    def command(argv):
         from starcheck.cli import main
 
         report = io.StringIO()
-        code = main(["check-identities", "--algebra", str(path),
-                     "--context", context, "--machine"], out=report)
+        code = main(argv, out=report)
         return f"exit={code} sha256={hashlib.sha256(report.getvalue().encode()).hexdigest()}"
+
+    def check_identities(path, context):
+        return command(["check-identities", "--algebra", str(path),
+                        "--context", context, "--machine"])
 
     for context in ("total", "pointed:0"):
         out.append((f"check-identities set3 {context}",
@@ -380,6 +386,9 @@ def cases(sc, tmp: pathlib.Path):
         return f"image={len(sc.Homomorphism(ring9, ring9, tuple(ring9.carrier)).image)}"
 
     out.append(("Homomorphism identity ringZ9", identity_ring9))
+
+    out.append(("cli.main congruences ringZ4 --machine",
+                lambda: command(["congruences", "--algebra", "corpus/ringZ4.alg", "--machine"])))
 
     sys.path.insert(0, str(ROOT / "tests"))
     from cli_matrix import GOLDEN_RUNS

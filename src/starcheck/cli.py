@@ -19,6 +19,16 @@ i * n^2 for an n-element carrier), so law-compose-star costs two
 compositions per relation r and law-inverse-image-star two pull-backs
 per endomorphism f, each covering every case of that r or f at once.  A
 family cut short by the relation budget makes the command INCONCLUSIVE.
+
+One table, `_COMMANDS`, holds each subcommand's name, function, help and
+flags.  When ``argv[0]`` names a subcommand, `main` builds the parser with
+that one subparser: building the other four costs more than most
+commands' algebra.  Any other argv (none, ``-h``, an unknown command, an
+option first) gets all five.  Output and exit codes are the full
+parser's byte for byte: a subparser's help and errors never read its
+siblings, and the one top-level message a restricted parser can print,
+the usage line of ``unrecognized arguments``, lists all five names
+because the restricted parser sets them as its subcommand metavar.
 """
 
 from __future__ import annotations
@@ -474,23 +484,33 @@ _FLAGS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+# name -> (command function, help, flags besides --algebra and --machine)
+_COMMANDS = {
+    "audit": (_cmd_audit, "run the four condition suites", ("--context", "--max-relations")),
+    "check-relation": (_cmd_check_relation, "check one relation",
+                       ("--relation", "--context", "--property")),
+    "check-identities": (_cmd_check_identities, "relation-calculus law suite",
+                         ("--context", "--max-relations")),
+    "find-terms": (_cmd_find_terms, "characterizing term search",
+                   ("--context", "--kind", "--clone-budget")),
+    "congruences": (_cmd_congruences, "list all congruences", ()),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The starcheck parser with every subcommand, or with only ``command``'s."""
     parser = argparse.ArgumentParser(
         prog="starcheck",
         description="Star-relation calculus and symmetry audits over finite algebras.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, run, help, flags in (
-        ("audit", _cmd_audit, "run the four condition suites",
-         ["--context", "--max-relations"]),
-        ("check-relation", _cmd_check_relation, "check one relation",
-         ["--relation", "--context", "--property"]),
-        ("check-identities", _cmd_check_identities, "relation-calculus law suite",
-         ["--context", "--max-relations"]),
-        ("find-terms", _cmd_find_terms, "characterizing term search",
-         ["--context", "--kind", "--clone-budget"]),
-        ("congruences", _cmd_congruences, "list all congruences", []),
-    ):
+    # the restricted parser spells out all five names for the usage line
+    # that argparse prints on unrecognized arguments; the full parser keeps
+    # the default, under which its errors name the argument "command"
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    names = list(_COMMANDS) if command is None else [command]
+    for name in names:
+        run, help, flags = _COMMANDS[name]
         p = sub.add_parser(name, help=help)
         p.set_defaults(run=run)
         p.add_argument("--algebra", required=True, help="algebra description file")
@@ -501,7 +521,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None, out: IO[str] | None = None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import starcheck as sc
+from starcheck import cli
 from starcheck.cli import main, parse_relation, serialize_relation
 
 from cli_matrix import GOLDEN_RUNS
@@ -456,6 +457,67 @@ class TestDeterminism:
             first = run_cli(argv)
             second = run_cli(argv)
             assert first == second, name
+
+
+RINGZ4 = ["--algebra", "corpus/ringZ4.alg"]
+
+
+class TestParserBuild:
+    """main builds only the invoked command's subparser; what it prints and
+    returns must be what the five-command parser gives."""
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param([], id="no-arguments"),
+        pytest.param(["-h"], id="-h"),
+        pytest.param(["--help"], id="--help"),
+        pytest.param(["frobnicate"], id="unknown-command"),
+        pytest.param(["audit"], id="audit-without-flags"),
+        *[pytest.param([command, "-h"], id=f"{command}-h") for command in cli._COMMANDS],
+        pytest.param(["congruences", *RINGZ4, "--context", "total"], id="unrecognized-flag"),
+        pytest.param(["audit", *RINGZ4, "--bogus"], id="unknown-flag"),
+        pytest.param(["congruences", *RINGZ4, "trailing"], id="trailing-positional"),
+        pytest.param(["find-terms", *RINGZ4], id="find-terms-without-kind"),
+        pytest.param(["find-terms", *RINGZ4, "--kind", "nope"], id="find-terms-bad-kind"),
+        pytest.param(["audit", *RINGZ4, "--max-relations", "x"], id="non-integer-budget"),
+        pytest.param(["--machine", "audit"], id="option-before-command"),
+    ])
+    def test_output_matches_full_parser(self, argv, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        code = main(argv)
+        restricted = (code, *capsys.readouterr())
+        full = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+        code = main(argv)
+        assert restricted == (code, *capsys.readouterr())
+
+    @pytest.mark.parametrize("argv, error", [
+        pytest.param([], "the following arguments are required: command", id="missing"),
+        pytest.param(["frobnicate"], "argument command: invalid choice: 'frobnicate'",
+                     id="invalid-choice"),
+    ])
+    def test_full_parser_names_the_command_argument(self, argv, error, capsys):
+        assert main(argv) == 2
+        assert f"starcheck: error: {error}" in capsys.readouterr().err
+
+    def test_command_builds_only_its_subparser(self, monkeypatch):
+        built = []
+        full = cli.build_parser
+
+        def recording(command=None):
+            built.append(command)
+            return full(command)
+
+        monkeypatch.setattr(cli, "build_parser", recording)
+        run_cli(["congruences", *RINGZ4, "--machine"])
+        run_cli(["--machine", "congruences", *RINGZ4])
+        assert built == ["congruences", None]
+
+    def test_argv_defaults_to_sys_argv(self, monkeypatch):
+        argv = dict(GOLDEN_RUNS)["check-relation__set3_r1__pointed0"]
+        monkeypatch.setattr(sys, "argv", ["starcheck", *argv])
+        buf = io.StringIO()
+        code = main(None, out=buf)
+        assert (code, buf.getvalue()) == run_cli(argv)
 
 
 class TestConsoleEntry:
