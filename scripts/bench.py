@@ -5,9 +5,9 @@ Times, each call in full, with `time.perf_counter`:
   ringZ4^2 (256-entry tables), `cli.parse_relation` on every corpus
   `.rel` document, and `verify_term_identities` on the e-subtractive
   witness found for ringZ2 at 0 (the readers of the input grammars);
-- `find_e_subtractive_terms` on the rings Z5, Z6, Z8 and Z9 (the last
-  two spend the clone budget, Z9 inside a round) and `find_maltsev_term`
-  on groupZ2 (clone layer);
+- `find_e_subtractive_terms` on the rings Z4 to Z9 (the last two spend
+  the clone budget, Z9 inside a round; the others stop at their last
+  witness) and `find_maltsev_term` on groupZ2 (clone layer);
 - `all_congruences` on the squares of ringZ4 and bool4 (congruence
   lattice);
 - `substitution_graph` of ringZ2 at 0, which builds both free models and
@@ -203,7 +203,7 @@ def cases(sc, tmp: pathlib.Path):
         return f"holds={verdict.holds}"
 
     out.append(("verify e-subtractive ringZ2 e=0", verify))
-    for n in (5, 6, 8, 9):
+    for n in (4, 5, 6, 7, 8, 9):
         a = sc.parse_algebra(ring_text(n))
 
         def subtractive(a=a):

@@ -7,11 +7,13 @@ only where a term leaves the clone.  A round evaluates each operation
 at once for each argument prefix's batch of last arguments, on tables
 packed as bytes; prefixes and batches follow the order of a plain
 lexicographic scan, so element order, first-found terms and budget
-cut-offs do not depend on the batching.  One search loop over the growing
+cut-offs do not depend on the batching.  One search over the growing
 clone decides whether the generated variety has subtraction-style binary
 terms for its constants, or a ternary Mal'tsev term, and certifies each
-witness; absence certificates are only issued when the clone closure
-actually reached its fixpoint.  One evaluator turns syntax trees, parsed
+witness; it tests each element as the closure inserts it and stops at
+the element that gives the last target its witness.  Absence
+certificates are only issued when the clone closure actually reached
+its fixpoint.  One evaluator turns syntax trees, parsed
 identities included, into value tables with the table-composition kernel
 of `algebra`, which also owns the flat-table encoding they use.
 """
@@ -182,12 +184,15 @@ class FreeAlgebraModel:
 _CELL_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
-def _clone_rounds(a: FiniteAlgebra, n: int, budget: int):
+def _clone_rounds(a: FiniteAlgebra, n: int, budget: int, settled=None):
     """Yield (elements, complete, exhausted) after seeding and after each
     closure round, the elements as (table, term) pairs; rounds apply every
     basic operation to all argument tuples that involve at least one
     element from the previous round.  A budget below one table stops the
-    closure at seeding, with no element.
+    closure at seeding, with no element.  ``settled``, if given, is called
+    as settled(index, table) on each element as it is inserted; once it
+    returns true, the generator yields the elements so far, neither
+    complete nor exhausted, and returns.
 
     Invariant that fixes the element order, the first-found terms and the
     budget cut-off (and so the golden reports): within a round the
@@ -227,17 +232,20 @@ def _clone_rounds(a: FiniteAlgebra, n: int, budget: int):
     elements: list[tuple[tuple[int, ...], Term]] = []
     keys: set[bytes] = set()
     pool = bytearray()
-    exhausted = False
+    exhausted = stopped = False
 
-    def insert(key: bytes, term: Term) -> None:
-        # key is not in keys
-        nonlocal exhausted
+    def insert(key: bytes, term: Term) -> bool:
+        # key is not in keys; true when the closure stops here
+        nonlocal exhausted, stopped
         if len(elements) >= max_elements:
             exhausted = True
-            return
+            return True
         keys.add(key)
         pool.extend(key)
-        elements.append((tuple(memoryview(key).cast(code)), term))
+        table = tuple(memoryview(key).cast(code))
+        elements.append((table, term))
+        stopped = settled is not None and settled(len(elements) - 1, table)
+        return stopped
 
     seeds = [(proj, Var(i)) for i, proj in enumerate(_projections(size, n))]
     seeds += [
@@ -246,12 +254,12 @@ def _clone_rounds(a: FiniteAlgebra, n: int, budget: int):
     ]
     for table, term in seeds:
         key = b"".join(v.to_bytes(width, order) for v in table)
-        if key not in keys:
-            insert(key, term)
+        if key not in keys and insert(key, term):
+            break
     yield elements, False, exhausted
 
     frontier = 0
-    while not exhausted:
+    while not (exhausted or stopped):
         snapshot = len(elements)
         with memoryview(pool) as view:
             runs = {
@@ -276,20 +284,21 @@ def _clone_rounds(a: FiniteAlgebra, n: int, budget: int):
                 prefix_terms = tuple(elements[c][1] for c in prefix)
                 for last, start in enumerate(range(0, count * step, step), lo):
                     key = values[start:start + step]
-                    if key not in keys:
-                        insert(key, App(sym, (*prefix_terms, elements[last][1])))
-                        if exhausted:
-                            break
-                if exhausted:
+                    if key not in keys and insert(
+                        key, App(sym, (*prefix_terms, elements[last][1]))
+                    ):
+                        break
+                if exhausted or stopped:
                     break
-            if exhausted:
+            if exhausted or stopped:
                 break
         if len(elements) == snapshot and not exhausted:
             yield elements, True, False
             return
         frontier = snapshot
         yield elements, False, exhausted
-    yield elements, False, True
+    if exhausted:
+        yield elements, False, True
 
 
 def free_term_operations(
@@ -330,29 +339,41 @@ class SearchStatus(enum.Enum):
     INCONCLUSIVE = "inconclusive"
 
 
-def _search(a: FiniteAlgebra, arity: int, budget: int, targets: dict, symbol: str):
+def _search(
+    a: FiniteAlgebra, arity: int, budget: int, targets: dict, key_of, symbol: str
+):
     """Grow the ``arity``-ary clone until every target has a witness, the
     closure is complete or the budget is spent.  ``targets`` maps keys to
-    (accepts, identities): a key's witness is the first table in clone
-    order that ``accepts``, certified against the identities on ``symbol``.
-    Returns (status, {key: TermOperation}, clone size, complete)."""
-    found: dict = {}
-    scanned, clone, complete = 0, [], False
-    for clone, complete, exhausted in _clone_rounds(a, arity, budget):
-        for table, term in clone[scanned:]:
-            for key, (accepts, _) in targets.items():
-                if key not in found and accepts(table):
-                    found[key] = (table, term)
-        scanned = len(clone)
-        if len(found) == len(targets) or complete or exhausted:
-            break
+    (accepts, identities), and ``key_of`` names the one key a table could
+    witness: a key's witness is the first element in clone order whose
+    table names that key and that ``accepts``, certified against the
+    identities on ``symbol``.  Each element is tested as it is inserted,
+    so on FOUND the clone size counts the elements up to and including
+    the last witness; otherwise it is the whole closure or the budget's
+    cut.  Returns (status, {key: TermOperation}, clone size, complete)."""
+    pending = {key: accepts for key, (accepts, _) in targets.items()}
+    found: dict = {}  # key -> index of its witness
+
+    def settled(index: int, table: tuple[int, ...]) -> bool:
+        key = key_of(table)
+        accepts = pending.get(key)
+        if accepts is not None and accepts(table):
+            del pending[key]
+            found[key] = index
+        return not pending
+
+    # the closure ends itself at the last witness, its fixpoint or its
+    # budget; its last yield holds the elements generated
+    clone, complete = [], False
+    for clone, complete, _ in _clone_rounds(a, arity, budget, settled):
+        pass
 
     witnesses = {
-        key: _certify(a, arity, *found[key], identities, symbol)
+        key: _certify(a, arity, *clone[found[key]], identities, symbol)
         for key, (_, identities) in targets.items()
         if key in found
     }
-    if len(witnesses) == len(targets):
+    if not pending:
         status = SearchStatus.FOUND
     elif complete:
         status = SearchStatus.ABSENT
@@ -375,7 +396,9 @@ class SubtractiveSearch:
 
     ``terms`` holds one witnessing term per element found (first in clone
     order); ABSENT is only reported over a complete clone, otherwise an
-    exhausted budget yields INCONCLUSIVE."""
+    exhausted budget yields INCONCLUSIVE.  ``clone_size`` counts the
+    elements generated up to and including the last witness on FOUND,
+    and the whole closure or the budget's cut otherwise."""
 
     status: SearchStatus
     terms: tuple[tuple[int, TermOperation], ...]
@@ -398,9 +421,11 @@ def find_e_subtractive_terms(
     """For each constants-subalgebra element e, search the binary clone for
     a term with s(x, x) = e and s(x, e) = x.
 
-    The verdict certifies the variety generated by the algebra.  The clone
-    is grown round by round and the search stops early once every target
-    has a witness."""
+    The verdict certifies the variety generated by the algebra.  Each
+    clone element is tested as it is generated, and the search stops at
+    the element that gives the last target its witness: the clone size
+    counts the elements up to and including it on FOUND, and the whole
+    closure or the budget's cut otherwise."""
     if elements is None:
         targets = tuple(sorted(constants_subalgebra(a)))
         if not targets:
@@ -411,11 +436,12 @@ def find_e_subtractive_terms(
             if not 0 <= e < a.size:
                 raise ValueError(f"element {e} out of range")
 
+    # s(0, 0) = e names the only e a table can witness
     status, witnesses, clone_size, complete = _search(a, 2, budget, {
         e: (lambda table, e=e: _subtractive_table(table, e, a.size),
             [f"s(x, x) = {e}", f"s(x, {e}) = x"])
         for e in targets
-    }, "s")
+    }, lambda table: table[0], "s")
     missing = tuple(e for e in targets if e not in witnesses)
     terms = tuple(witnesses.items())
     return SubtractiveSearch(status, terms, missing, clone_size, complete)
@@ -423,6 +449,11 @@ def find_e_subtractive_terms(
 
 @dataclass(frozen=True)
 class MaltsevSearch:
+    """Outcome of the Mal'tsev-term search: ``term`` is the first witness
+    in clone order, or None.  ``clone_size`` counts the elements
+    generated up to and including the witness on FOUND, and the whole
+    closure or the budget's cut otherwise."""
+
     status: SearchStatus
     term: TermOperation | None
     clone_size: int
@@ -447,7 +478,7 @@ def find_maltsev_term(
     status, witnesses, clone_size, complete = _search(a, 3, budget, {
         "p": (lambda table: _maltsev_table(table, a.size),
               ["p(x, x, y) = y", "p(x, y, y) = x"])
-    }, "p")
+    }, lambda table: "p", "p")
     return MaltsevSearch(status, witnesses.get("p"), clone_size, complete)
 
 

@@ -139,8 +139,8 @@ def incoherent_clone(monkeypatch):
 
     rounds = terms._clone_rounds
 
-    def lying(a, n, budget):
-        for elements, complete, exhausted in rounds(a, n, budget):
+    def lying(a, n, budget, settled=None):
+        for elements, complete, exhausted in rounds(a, n, budget, settled):
             yield [(table, sc.Var(0)) for table, _ in elements], complete, exhausted
 
     monkeypatch.setattr(terms, "_clone_rounds", lying)

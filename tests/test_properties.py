@@ -1,10 +1,11 @@
 """Property tests over random small algebras on two or three elements
 and their squares (the clone rounds also on fixed 7-, 16- and 17-element
-ones, closures on a fixed 300-element one, congruence lattices on fixed
-9- and 16-element squares), over relations between bare sets of one to
-four elements (up to sixteen for opposites), and over stacks of up to
-eight masks on one to five elements.  Examples are derandomized, so
-every run checks the same ones."""
+ones, the term searches also on corpus algebras, closures on a fixed
+300-element one, congruence lattices on fixed 9- and 16-element
+squares), over relations between bare sets of one to four elements (up
+to sixteen for opposites), and over stacks of up to eight masks on one
+to five elements.  Examples are derandomized, so every run checks the
+same ones."""
 
 import dataclasses
 import itertools
@@ -393,6 +394,85 @@ def test_clone_rounds_match_reference(a, n, max_elements):
         for elements, complete, exhausted in _clone_rounds(a, n, budget)
     ]
     assert rounds == list(reference_clone_rounds(a, n, budget))
+
+
+def reference_search(a, arity, budget, accepts):
+    """The term search as first written: after each round of
+    `reference_clone_rounds`, test every element against every target
+    still missing; ``accepts`` maps keys to table predicates.  Returns
+    (status, {key: (index, term text, table)}, clone size, complete)."""
+    found = {}
+    clone, complete = [], False
+    for clone, complete, exhausted in reference_clone_rounds(a, arity, budget):
+        for index, (table, text) in enumerate(clone):
+            for key, holds in accepts.items():
+                if key not in found and holds(table):
+                    found[key] = (index, text, table)
+        if len(found) == len(accepts) or complete or exhausted:
+            break
+    if len(found) == len(accepts):
+        status = "found"
+    else:
+        status = "absent" if complete else "inconclusive"
+    return status, found, len(clone), complete
+
+
+def subtractive_at(e, n):
+    return lambda t: all(t[x * n + x] == e and t[x * n + e] == x for x in range(n))
+
+
+def maltsev_for(n):
+    return lambda t: all(
+        t[(x * n + x) * n + y] == y and t[(x * n + y) * n + y] == x
+        for x in range(n)
+        for y in range(n)
+    )
+
+
+def with_corpus_witnesses(test):
+    """Explicit examples on corpus algebras whose searches find their
+    last witness within 20 elements (random tables rarely do), each at
+    budgets of 1 to 20 elements."""
+    runs = [(name, "e-subtractive") for name in ("bool2", "heyt2", "ringZ2xZ2")]
+    runs += [(name, kind) for name in ("ringZ2", "groupZ2")
+             for kind in ("e-subtractive", "maltsev")]
+    for name, kind in runs:
+        a = load_algebra(name)
+        for max_elements in range(1, 21):
+            test = example(a, kind, max_elements)(test)
+    return test
+
+
+@PROPERTY_SETTINGS
+@with_corpus_witnesses
+@given(
+    mixed_algebras().filter(lambda a: any(k == 0 for _, k in a.signature.symbols)),
+    st.sampled_from(["e-subtractive", "maltsev"]),
+    st.integers(1, 20),
+)
+def test_term_search_matches_round_granular_reference(a, kind, max_elements):
+    # budgets of 1 to 20 elements: the search stops at the element that
+    # completes it, where the reference finishes that element's round
+    arity = 3 if kind == "maltsev" else 2
+    budget = max_elements * a.size**arity
+    if kind == "maltsev":
+        accepts = {"p": maltsev_for(a.size)}
+        result = sc.find_maltsev_term(a, budget=budget)
+        terms = {} if result.term is None else {"p": result.term}
+    else:
+        targets = sorted(sc.constants_subalgebra(a))
+        accepts = {e: subtractive_at(e, a.size) for e in targets}
+        result = sc.find_e_subtractive_terms(a, budget=budget)
+        terms = dict(result.terms)
+    status, found, size, complete = reference_search(a, arity, budget, accepts)
+    assert result.status.value == status
+    assert {key: (op.text, op.table) for key, op in terms.items()} == {
+        key: (text, table) for key, (_, text, table) in found.items()
+    }
+    assert result.complete == complete
+    if status == "found":
+        size = 1 + max(index for index, _, _ in found.values())
+    assert result.clone_size == size
 
 
 @st.composite
