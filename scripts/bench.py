@@ -20,7 +20,10 @@ Times, each call in full, with `time.perf_counter`:
 - the endomorphisms that check-identities quantifies over, on the
   6-element group Z6, and `graph_left_star_symmetric` on the substitution
   graph of ringZ2 at 0 (homomorphism search);
-- `direct_power(ringZ4^2, 2)`, the square that enumeration builds,
+- `direct_power(ringZ4^2, 2)`, the 256-point square whose closure rows
+  enumeration once cut, and those rows as enumeration now builds them
+  from ringZ4^2's own (`algebra._closure_rows(square=True)`; a checkout
+  without it cuts them from the built square),
   `enumerate_reflexive_compatible` on ringZ4^2 (mostly principal
   closures) and on monoid01^2 (306 relations, mostly join closures), and
   `audit_algebra` on ringZ4^2 under proto and on monoid01^2 under
@@ -276,6 +279,16 @@ def cases(sc, tmp: pathlib.Path):
     def power():
         return f"size={sc.direct_power(square, 2).size}"
 
+    def square_rows():
+        from starcheck import algebra
+
+        try:
+            rows = algebra._closure_rows(square, square=True)
+        except TypeError:  # a checkout whose rows come from the built square
+            rows = algebra._closure_rows(sc.direct_power(square, 2))
+        size, constants, plan, *_ = rows
+        return f"size={size} constants={constants} steps={len(plan)}"
+
     def enumeration(square=square):
         enum = sc.enumerate_reflexive_compatible(square)
         return f"relations={len(enum.relations)} truncated={enum.truncated}"
@@ -285,6 +298,7 @@ def cases(sc, tmp: pathlib.Path):
         return " ".join(f"{c.verdict.value}/{c.examined}" for c in report.conditions)
 
     out.append(("direct_power ringZ4^2", power))
+    out.append(("square rows ringZ4^2", square_rows))
     out.append(("enumerate_reflexive_compatible ringZ4^2", enumeration))
     out.append(("audit_algebra ringZ4^2 proto", audit))
 

@@ -342,48 +342,60 @@ def direct_power(
     """The k-th direct power; carrier tuples are encoded lexicographically.
 
     A point's position is its base-n code (n = a.size): the point
-    (c_0, ..., c_{k-1}) sits at c_0·n^(k-1) + ... + c_{k-1}.  So every
-    entry is arithmetic: the entry of an operation f at argument codes
-    x_1..x_m is the code of the coordinatewise values, coordinate i being f
-    at the i-th digits of x_1..x_m.  Each table is built row by row, see
-    `_power_rows`."""
+    (c_0, ..., c_{k-1}) sits at c_0·n^(k-1) + ... + c_{k-1}, the code of
+    (c_0, ..., c_{k-2}) in the power below times n plus c_{k-1}.  So the
+    power is the product of the power below and a, and each table is built
+    row by row from theirs, see `_product_rows`."""
     if k < 1:
         raise ValueError("power must be positive")
     size = a.size ** k
     if size > budget:
         raise BudgetError(f"power carrier {size} exceeds budget {budget}")
-    tables = tuple(
-        tuple(itertools.chain.from_iterable(_power_rows([table] * k, a.size, arity)))
-        for _, arity, table in a.operations()
-    )
+    tables = []
+    for arity, base in _operation_rows(a):
+        rows = base
+        for i in range(1, k):
+            rows = _product_rows(rows, base, a.size ** i, a.size, arity)
+        tables.append(tuple(itertools.chain.from_iterable(rows)))
     name = f"{a.name}^{k}" if a.name else ""
-    return FiniteAlgebra(a.signature, size, tables, name)
+    return FiniteAlgebra(a.signature, size, tuple(tables), name)
 
 
-def _power_rows(
-    tables: Iterable[tuple[int, ...]], n: int, arity: int
-) -> Iterator[list[int]]:
-    """Rows of the table of the operation on base-n codes whose coordinate
-    i has the flat table ``tables[i]`` of the given arity over {0..n-1}.
+def _operation_rows(a: FiniteAlgebra) -> list[tuple[int, list]]:
+    """(arity, rows) per operation: row c of a table holds its values at
+    the argument prefix (all arguments but the last) with code c."""
+    n = a.size
+    return [
+        (arity, [table[c:c + n] for c in range(0, len(table), n)])
+        for _, arity, table in a.operations()
+    ]
 
-    A row fixes every argument but the last, and runs over the codes of
-    the last one.  Fixing the first argument's digit d in coordinate i
-    leaves the section ``tables[i][d·w:(d+1)·w]``, w = n^(arity-1), so the
-    first argument's codes, in order, give the digit choices of
-    ``itertools.product`` over the coordinates' sections.  With one
-    argument left (or none, for a constant) the row is the code of one
-    value from each coordinate, lexicographically: a code times n plus the
-    next coordinate's value."""
-    if arity <= 1:
-        row = [0]
-        for table in tables:
-            row = [code * n + v for code in row for v in table]
-        yield row
-        return
-    width = n ** (arity - 1)
-    sections = [[table[d * width:(d + 1) * width] for d in range(n)] for table in tables]
-    for chosen in itertools.product(*sections):
-        yield from _power_rows(chosen, n, arity - 1)
+
+def _product_rows(first: list, second: list, n1: int, n2: int, arity: int) -> list:
+    """The rows of an operation on A x B, whose point (x, y) has code
+    x·n2 + y, from its rows on A (n1 points) and on B (n2 points).
+
+    The argument prefixes whose first coordinates have A-code c0 and second
+    ones B-code c1 read, at the last argument (u, v), A's value at (c0, u)
+    times n2 plus B's value at (c1, v): A's row at c0, each value times n2 and
+    repeated n2 times, plus B's row at c1 tiled n1 times (a constant has no
+    last argument).  On at most 256 points a row is bytes, and that is one
+    big-int addition, with no carries, since every byte of the sum is a
+    code below n1·n2; on more it is a tuple."""
+    reps1, reps2 = (n2, n1) if arity else (1, 1)
+    scaled = ([v * n2 for v in row] for row in first)
+    # each value repeated reps1 times: zip reads reps1 copies of a row in step
+    high = [list(itertools.chain.from_iterable(zip(*[row] * reps1))) for row in scaled]
+    low = [row * reps2 for row in second]
+    prefixes = [(0, 0)]
+    for _ in range(arity - 1):
+        prefixes = [(c0 * n1 + x, c1 * n2 + y) for c0, c1 in prefixes
+                    for x in range(n1) for y in range(n2)]
+    if n1 * n2 > 256:
+        return [tuple(map(add, high[c0], low[c1])) for c0, c1 in prefixes]
+    width = len(low[0])
+    high, low = ([int.from_bytes(bytes(row), "big") for row in part] for part in (high, low))
+    return [(high[c0] + low[c1]).to_bytes(width, "big") for c0, c1 in prefixes]
 
 
 def _induced_tables(
@@ -422,41 +434,47 @@ def subalgebra_closure(
 _NEW, _ALL, _OLD = 0, 1, 2
 
 
-def _closure_rows(a: FiniteAlgebra) -> tuple:
-    """What `_closure_rounds` reads of ``a``: its size, the constants'
-    values, the plan of a round, and a batch's gatherer and the
-    concatenation of gathered rows."""
-    if a.size <= 256:
+def _closure_rows(a: FiniteAlgebra, square: bool = False) -> tuple:
+    """What `_closure_rounds` reads of ``a``, or of its square, built from
+    a's own rows (`_product_rows`) without building it: the size, the
+    constants' values, the plan of a round, a batch's gatherer and the
+    joiner of its gathered rows."""
+    size, operations = a.size, _operation_rows(a)
+    if square:
+        operations = [(k, _product_rows(rows, rows, size, size, k)) for k, rows in operations]
+        size *= size
+    if size <= 256:
         def cut(row):
             return bytes(row).ljust(256, b"\0")
 
         def gatherer(batch):
             return bytes(batch).translate
 
-        concat = b"".join
+        def joiner(seen):
+            known = bytes(seen)
+            return lambda gathered: b"".join(gathered).translate(None, known)
     else:
-        cut, concat = tuple, itertools.chain.from_iterable
+        cut, joiner = tuple, lambda seen: itertools.chain.from_iterable
 
         def gatherer(batch):
             # the first element repeated, so that it always returns a tuple
             return itemgetter(batch[0], *batch)
-    n = a.size
-    constants = tuple(table[0] for _, arity, table in a.operations() if not arity)
+    constants = tuple(rows[0][0] for arity, rows in operations if not arity)
     plan = []
-    for _, arity, table in a.operations():
-        rows = tuple(cut(table[c:c + n]) for c in range(0, len(table), n))
+    for arity, rows in operations:
+        rows = tuple(map(cut, rows))
         for i in range(arity):
             kinds = (_OLD,) * i + (_NEW,) + (_ALL,) * (arity - 1 - i)
             plan.append((rows.__getitem__, kinds[:-1], kinds[-1]))
-    return n, constants, tuple(plan), gatherer, concat
+    return size, constants, tuple(plan), gatherer, joiner
 
 
 @functools.lru_cache(maxsize=None)
 def _algebra_rows(a: FiniteAlgebra) -> tuple:
     """`_closure_rows` of an algebra that the caller holds, cut once.  A
     caller closing in an algebra of its own making, such as the square
-    that enumeration builds, cuts the rows itself, so that they die with
-    the algebra instead of staying in this cache."""
+    that enumeration closes in, cuts the rows itself, so that they die
+    with the call instead of staying in this cache."""
     return _closure_rows(a)
 
 
@@ -483,9 +501,11 @@ def _closure_rounds(
     step's batch of last arguments, one gather at C level: on at most 256
     points a row is a 256-byte table and the gather
     ``bytes(batch).translate(row)``, on more a row is a tuple and the
-    gather an ``itemgetter``.  Rounds are sets, so what a round adds does
-    not depend on the order of the gathers."""
-    size, constants, plan, gatherer, concat = rows
+    gather an ``itemgetter``.  On bytes, the joiner of a step's gathers
+    also deletes the values already seen, most of them, with one
+    ``translate``.  Rounds are sets, so what a round adds does not depend
+    on the order of the gathers."""
+    size, constants, plan, gatherer, joiner = rows
     fresh = set(seed)
     fresh.update(constants)
     members = list(closed)
@@ -498,6 +518,7 @@ def _closure_rounds(
         members = old + new
         choices = (new, members, old)
         batches = (gatherer(new), gatherer(members))
+        concat = joiner(seen)
         fresh = set()
         for get, prefix, last in plan:
             if prefix:

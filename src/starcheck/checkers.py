@@ -9,7 +9,7 @@ for the connecting homomorphism between the kernels of the two legs with
 `algebra.HomomorphismSearch`, and is INCONCLUSIVE on a graph without
 legs.  The whole-algebra audit runs four condition suites over the
 congruences and the enumerated reflexive compatible relations of one
-algebra, deciding left star-symmetry once per relation.
+algebra, reading both symmetry witnesses off each relation's mask.
 A single finite algebra can only certify counterexamples: a
 failure refutes the variety it generates, while a clean audit is evidence,
 not a proof (positive variety-level certificates come from the term
@@ -30,7 +30,6 @@ from .algebra import (
     _closure_rounds,
     _closure_rows,
     all_congruences,
-    direct_power,
 )
 from .contexts import IdealContext, n_kernel, validate_context
 from .errors import BudgetError
@@ -38,6 +37,7 @@ from .relations import (
     Relation,
     _mask_pairs,
     _null_rows,
+    _transpose_mask,
     compose,
     congruence_relation,
     opposite,
@@ -205,60 +205,65 @@ def enumerate_reflexive_compatible(
     over the already closed R.  This is complete because every reflexive
     compatible R is the join of the P_p for p in R, and a join is reached
     from the principals by adding one principal at a time.  At most
-    `budget` relations are kept and `truncated` is set exactly when more
-    exist; which subset a truncated run keeps follows the join order
-    and is not a canonical choice.  Output is sorted by bit-set encoding.
+    `budget` (at least 1) relations are kept and `truncated` is set
+    exactly when more exist; which subset a truncated run keeps follows
+    the join order and is not a canonical choice.  Output is sorted by
+    bit-set encoding.
 
     Pairs are closed in increasing order, and a closure stops at the first
     generated x whose principal is known and contains p: x in P_p gives
-    P_x <= P_p and p in P_x gives P_p <= P_x, so P_p = P_x.
+    P_x <= P_p and p in P_x gives P_p <= P_x, so P_p = P_x.  Equal unions
+    R | P, as masks, are closed once.
 
     The diagonal, the principals and the joins run the closure kernel
-    `algebra._closure_rounds` directly, on rows cut once per call from the
-    square, which die with it.  Their seeds are in range by construction,
-    so they skip `subalgebra_closure`'s checks.  The kernel yields sets,
-    so the principals, the join order and the output do not depend on the
-    order in which a round gathers its elements."""
-    square = direct_power(a, 2, budget=max(a.size * a.size, 1))
-    rows = _closure_rows(square)
+    `algebra._closure_rounds` directly, on the square's rows, which
+    `_closure_rows` builds from a's own, once per call.  Their seeds are in
+    range by construction, so they skip `subalgebra_closure`'s checks.
+    The kernel yields sets, so the principals, the join order and the
+    output do not depend on the order in which a round gathers."""
+    if budget < 1:
+        raise ValueError("relation budget must be positive")
+    rows = _closure_rows(a, square=True)
     diag = frozenset().union(
         *_closure_rounds(rows, {x * a.size + x for x in a.carrier}, frozenset())
     )
     principal_of: dict[int, frozenset[int]] = {}
-    for p in range(square.size):
+    for p in range(a.size * a.size):
         if p not in diag:
             principal_of[p] = _principal(rows, diag, p, principal_of)
-    principals = list(dict.fromkeys(principal_of.values()))
-    found = [diag]
-    seen = {diag}
+    found: list[tuple[frozenset[int], int]] = []
+    seen: set[int] = set()  # the masks found, and the unions already closed
 
     def admit(r: frozenset[int]) -> bool:
         """Record r if new; False when that would exceed the budget."""
-        if r in seen:
+        mask = sum(1 << q for q in r)
+        if mask in seen:
             return True
         if len(found) >= budget:
             return False
-        seen.add(r)
-        found.append(r)
+        seen.add(mask)
+        found.append((r, mask))
         return True
 
-    truncated = not all(admit(p) for p in principals)
+    admit(diag)
+    truncated = not all(admit(p) for p in dict.fromkeys(principal_of.values()))
+    principals = found[1:]  # all of them, unless truncated
     i = 1  # D v P = P, so joins start from the principals
     while not truncated and i < len(found):
-        r = found[i]
+        r, r_mask = found[i]
         i += 1
-        for p in principals:
-            # found relations are closed, so a union already found is the join
-            if p <= r or r | p in seen:
+        for p, p_mask in principals:
+            # found relations are closed, so a found union is the join, and
+            # a union closed before has its join found
+            if (union := r_mask | p_mask) == r_mask or union in seen:
                 continue
             if not admit(r.union(*_closure_rounds(rows, p - r, r))):
                 truncated = True
                 break
+            seen.add(union)
 
-    masks = sorted(sum(1 << q for q in state) for state in found)
-    relations = tuple(
-        Relation(a, a, mask, compatible=True) for mask in masks
-    )
+    masks = sorted(mask for _, mask in found)
+    relations = tuple(Relation(a, a, mask, compatible=True) for mask in masks)
     return ReflexiveEnumeration(relations, truncated)
 
 
@@ -315,7 +320,9 @@ def audit_algebra(
     (compatible equivalence relations coincide with congruences here, so
     suite 2 runs over the same set and says so); 3 and 4 check left
     star-symmetry and star-symmetry over every enumerated reflexive
-    compatible relation."""
+    compatible relation.  Their witnesses, those of the public checkers,
+    are first pairs of the relation's mask m and transpose t: of
+    m & null & ~t on the left, else of t & null & ~m on the opposite."""
     validate_context(ctx, a)
     congruences = all_congruences(a, size_budget=congruence_size_budget)
     cong_rel = {c: congruence_relation(c) for c in congruences}
@@ -348,14 +355,15 @@ def audit_algebra(
     enum = enumerate_reflexive_compatible(a, budget=max_relations)
     left_witnesses: list[SymmetryWitness] = []
     full_witnesses: list[SymmetryWitness] = []
+    n, null = a.size, _null_rows(ctx, a)
     for r in enum.relations:
-        # the left side is decided inside, and fails iff the relation side
-        # of star-symmetry does
-        fv = is_star_symmetric(ctx, r)
-        if not fv.holds:
-            full_witnesses.append(SymmetryWitness(r, fv.witness, fv.from_opposite))
-            if not fv.from_opposite:
-                left_witnesses.append(SymmetryWitness(r, fv.witness))
+        t = _transpose_mask(r.mask, n, n)
+        if left := r.mask & null & ~t:
+            witness = SymmetryWitness(r, next(_mask_pairs(left, n)))
+            left_witnesses.append(witness)
+            full_witnesses.append(witness)
+        elif right := t & null & ~r.mask:
+            full_witnesses.append(SymmetryWitness(r, next(_mask_pairs(right, n)), True))
 
     def sym_verdict(witnesses) -> Verdict:
         if witnesses:

@@ -21,14 +21,14 @@ per endomorphism f, each covering every case of that r or f at once.  A
 family cut short by the relation budget makes the command INCONCLUSIVE.
 
 One table, `_COMMANDS`, holds each subcommand's name, function, help and
-flags.  When ``argv[0]`` names a subcommand, `main` builds the parser with
-that one subparser: building the other four costs more than most
-commands' algebra.  Any other argv (none, ``-h``, an unknown command, an
-option first) gets all five.  Output and exit codes are the full
-parser's byte for byte: a subparser's help and errors never read its
-siblings, and the one top-level message a restricted parser can print,
-the usage line of ``unrecognized arguments``, lists all five names
-because the restricted parser sets them as its subcommand metavar.
+flags.  When ``argv[0]`` names a subcommand, `main` builds only that
+command's parser, ``starcheck <name>``: the top-level parser and the
+other four cost more than most commands' algebra.  Any other argv (none,
+``-h``, an unknown command, an option first) gets the full parser.
+Output and exit codes are the full parser's byte for byte: a subparser's
+help and errors never read its siblings, and the one top-level message,
+the usage error of ``unrecognized arguments``, comes from the full
+parser, built only then.
 """
 
 from __future__ import annotations
@@ -497,22 +497,31 @@ _COMMANDS = {
 }
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """One command's parser, reading argv as the full parser does."""
+
+    def parse_args(self, args, namespace=None):
+        args, extras = self.parse_known_args(args[1:], namespace)
+        if extras:
+            build_parser().error(f"unrecognized arguments: {' '.join(extras)}")
+        return args
+
+
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The starcheck parser with every subcommand, or with only ``command``'s."""
-    parser = argparse.ArgumentParser(
-        prog="starcheck",
-        description="Star-relation calculus and symmetry audits over finite algebras.",
-    )
-    # the restricted parser spells out all five names for the usage line
-    # that argparse prints on unrecognized arguments; the full parser keeps
-    # the default, under which its errors name the argument "command"
-    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    names = list(_COMMANDS) if command is None else [command]
-    for name in names:
-        run, help, flags = _COMMANDS[name]
-        p = sub.add_parser(name, help=help)
-        p.set_defaults(run=run)
+    """The starcheck parser with every subcommand, or only ``command``'s."""
+    if command is None:
+        parser = argparse.ArgumentParser(
+            prog="starcheck",
+            description="Star-relation calculus and symmetry audits over finite algebras.",
+        )
+        sub = parser.add_subparsers(dest="command", required=True)
+        parsers = {name: sub.add_parser(name, help=_COMMANDS[name][1]) for name in _COMMANDS}
+    else:
+        parser = _CommandParser(prog=f"starcheck {command}")
+        parsers = {command: parser}
+    for name, p in parsers.items():
+        run, _, flags = _COMMANDS[name]
+        p.set_defaults(run=run, command=name)
         p.add_argument("--algebra", required=True, help="algebra description file")
         for flag in flags:
             p.add_argument(flag, **_FLAGS[flag])

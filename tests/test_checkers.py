@@ -1,3 +1,5 @@
+import pytest
+
 import starcheck as sc
 from starcheck.checkers import SymmetryWitness, Verdict
 
@@ -226,6 +228,14 @@ class TestEnumeration:
         assert not enum.truncated and len(enum.relations) == 64
         enum = sc.enumerate_reflexive_compatible(set3, budget=63)
         assert enum.truncated and len(enum.relations) == 63
+
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_budget_below_one_raises(self, set2, budget):
+        # at most `budget` relations cannot hold the diagonal
+        with pytest.raises(ValueError, match="relation budget must be positive"):
+            sc.enumerate_reflexive_compatible(set2, budget=budget)
+        with pytest.raises(ValueError, match="relation budget must be positive"):
+            sc.audit_algebra(sc.Total(), set2, max_relations=budget)
 
     def test_canonical_order(self, monoid01):
         masks = [r.mask for r in sc.enumerate_reflexive_compatible(monoid01).relations]

@@ -1,11 +1,11 @@
 """Property tests over random small algebras on two or three elements
 and their squares (the clone rounds also on fixed 7-, 16- and 17-element
-ones, the term searches also on corpus algebras, closures on a fixed
-300-element one, congruence lattices on fixed 9- and 16-element
-squares), over relations between bare sets of one to four elements (up
-to sixteen for opposites), and over stacks of up to eight masks on one
-to five elements.  Examples are derandomized, so every run checks the
-same ones."""
+ones, square rows also on a fixed 17-element one, the term searches also
+on corpus algebras, closures on a fixed 300-element one, congruence
+lattices on fixed 9- and 16-element squares), over relations between
+bare sets of one to four elements (up to sixteen for opposites), and
+over stacks of up to eight masks on one to five elements.  Examples are
+derandomized, so every run checks the same ones."""
 
 import dataclasses
 import itertools
@@ -24,6 +24,7 @@ from starcheck.algebra import (
     _induced_tables,
     _join_partitions,
 )
+from starcheck.checkers import SymmetryWitness
 from starcheck.contexts import resolve_base
 from starcheck.relations import (
     _compose_masks,
@@ -207,6 +208,66 @@ def test_enumeration_on_squares_matches_reference(a, data):
     enum = sc.enumerate_reflexive_compatible(square, budget=budget)
     masks = [r.mask for r in enum.relations]
     assert (masks, enum.truncated) == reference_enumeration(square, budget)
+
+
+def seventeen_point_algebra():
+    """17 points, so that its square has 289, more than a byte's codes:
+    a constant, a unary and a binary operation modulo 17."""
+    n = 17
+    signature = sc.Signature((("c", 0), ("u", 1), ("f", 2)))
+    tables = (
+        (3,),
+        tuple((5 * x + 1) % n for x in range(n)),
+        tuple((x * y + 2 * x) % n for x in range(n) for y in range(n)),
+    )
+    return sc.FiniteAlgebra(signature, n, tables)
+
+
+def closure_rows_view(rows):
+    """What `_closure_rounds` reads of cut rows, the functions left out:
+    the size, the constants and, per step of the plan, the kinds of the
+    prefix and of the last argument and the whole tuple of rows."""
+    size, constants, plan, _, _ = rows
+    return size, constants, [(get.__self__, prefix, last) for get, prefix, last in plan]
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(mixed_algebras())
+@example(seventeen_point_algebra())
+def test_square_rows_match_rows_of_direct_power(a):
+    # arities 0 to 3 on 4- and 9-point squares (byte rows), and the
+    # 289-point square of the example (tuple rows).  direct_power builds
+    # its tables from the same product rows, so the square is also checked
+    # entry by entry
+    square = sc.direct_power(a, 2, budget=a.size ** 2)
+    assert square.tables == naive_power(a, 2)
+    rows = _closure_rows(a, square=True)
+    assert closure_rows_view(rows) == closure_rows_view(_closure_rows(square))
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(mixed_algebras(), st.booleans())
+@example(load_algebra("monoid01"), True)
+def test_audit_symmetry_suites_match_public_checkers(a, squared):
+    # squares of 2-element algebras have up to 4096 reflexive relations,
+    # and the audit keeps the first 1024
+    if squared and a.size == 2:
+        a = sc.direct_power(a, 2)
+    for algebra, ctx in (
+        (a, sc.ProtoPointed()),
+        (a, sc.Total()),
+        (with_fixed_point(a, 0), sc.Pointed(0)),
+    ):
+        report = sc.audit_algebra(ctx, algebra)
+        left, full = [], []
+        for r in sc.enumerate_reflexive_compatible(algebra).relations:
+            lv, fv = sc.is_left_star_symmetric(ctx, r), sc.is_star_symmetric(ctx, r)
+            if not lv.holds:
+                left.append(SymmetryWitness(r, lv.witness))
+            if not fv.holds:
+                full.append(SymmetryWitness(r, fv.witness, fv.from_opposite))
+        assert report.condition("reflexive-left-star-symmetric").witnesses == tuple(left)
+        assert report.condition("reflexive-star-symmetric").witnesses == tuple(full)
 
 
 @PROPERTY_SETTINGS
