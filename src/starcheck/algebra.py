@@ -12,10 +12,10 @@ through the row kernel `_product_values`: an argument prefix fixes a row of
 the table, and each distinct row is gathered over the column once.  A
 direct power needs no lookup at all: a point's position is its base-n code,
 so `direct_power` computes its tables by code arithmetic.  Subuniverse
-closures read the same rows, cut once per algebra (`_closure_rows`): a
-round gathers each row at a whole batch of last arguments at once.  The
-congruence lattice stops each principal congruence at the first union
-whose already known principal relates the generating pair.
+closures read the same rows (`_closure_rows`): a round gathers each row
+at a whole batch of last arguments at once.  The congruence lattice
+stops each principal congruence at the first union whose already known
+principal relates the generating pair.
 """
 
 from __future__ import annotations
@@ -417,16 +417,13 @@ def _induced_tables(
     return tuple(tables)
 
 
-def subalgebra_closure(
-    a: FiniteAlgebra, seed: Iterable[int], closed: frozenset[int] = frozenset()
-) -> frozenset[int]:
-    """Least subuniverse containing the seed, all constants and `closed`,
-    which must already be a subuniverse."""
+def subalgebra_closure(a: FiniteAlgebra, seed: Iterable[int]) -> frozenset[int]:
+    """Least subuniverse containing the seed and all constants."""
     seed = set(seed)
     if seed and (min(seed) < 0 or max(seed) >= a.size):
         s = min(s for s in seed if not 0 <= s < a.size)
         raise ValueError(f"seed element {s} out of range")
-    return frozenset(closed).union(*_closure_rounds(_algebra_rows(a), seed, closed))
+    return frozenset().union(*_closure_rounds(_closure_rows(a), seed, frozenset()))
 
 
 # the kinds of a round's argument choices: the elements the previous round
@@ -469,15 +466,6 @@ def _closure_rows(a: FiniteAlgebra, square: bool = False) -> tuple:
     return size, constants, tuple(plan), gatherer, joiner
 
 
-@functools.lru_cache(maxsize=None)
-def _algebra_rows(a: FiniteAlgebra) -> tuple:
-    """`_closure_rows` of an algebra that the caller holds, cut once.  A
-    caller closing in an algebra of its own making, such as the square
-    that enumeration closes in, cuts the rows itself, so that they die
-    with the call instead of staying in this cache."""
-    return _closure_rows(a)
-
-
 def _closure_rounds(
     rows: tuple, seed: set[int], closed: frozenset[int]
 ) -> Iterator[set[int]]:
@@ -492,19 +480,18 @@ def _closure_rounds(
     ones and later positions over all of them, so every tuple is applied
     once and tuples inside `closed` never are.
 
-    Row layout (`_closure_rows`, once per algebra): row c of an operation
-    is the slice c·n..(c+1)·n of its flat table, its values at the
-    argument prefix (all arguments but the last) with lexicographic code
-    c.  The plan holds one step per operation and argument position: the
-    row getter and the kinds of the prefix's choices and of the last
-    argument's.  A step's tuples that share a prefix read one row at the
-    step's batch of last arguments, one gather at C level: on at most 256
-    points a row is a 256-byte table and the gather
-    ``bytes(batch).translate(row)``, on more a row is a tuple and the
-    gather an ``itemgetter``.  On bytes, the joiner of a step's gathers
-    also deletes the values already seen, most of them, with one
-    ``translate``.  Rounds are sets, so what a round adds does not depend
-    on the order of the gathers."""
+    Row layout (`_closure_rows`): row c of an operation is the slice
+    c·n..(c+1)·n of its flat table, its values at the argument prefix (all
+    arguments but the last) with lexicographic code c.  The plan holds one
+    step per operation and argument position: the row getter and the kinds
+    of the prefix's choices and of the last argument's.  A step's tuples
+    that share a prefix read one row at the step's batch of last
+    arguments, one gather at C level: on at most 256 points a row is a
+    256-byte table and the gather ``bytes(batch).translate(row)``, on more
+    a row is a tuple and the gather an ``itemgetter``.  On bytes, the
+    joiner of a step's gathers also deletes the values already seen, most
+    of them, with one ``translate``.  Rounds are sets, so what a round
+    adds does not depend on the order of the gathers."""
     size, constants, plan, gatherer, joiner = rows
     fresh = set(seed)
     fresh.update(constants)
@@ -615,6 +602,9 @@ class Congruence:
     ) -> "Congruence":
         """Build from an equivalence given extensionally as its pair set."""
         pairs = set(pairs)
+        for x, y in sorted(pairs):
+            if not (0 <= x < a.size and 0 <= y < a.size):
+                raise ValueError(f"pair ({x},{y}) out of range")
         uf = _UnionFind(a.size)
         for x, y in pairs:
             uf.union(x, y)

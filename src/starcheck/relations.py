@@ -33,11 +33,11 @@ admitted their relations already may run the mask kernels directly.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
+from operator import add
 from typing import Iterable, Iterator
 
-from .algebra import Congruence, FiniteAlgebra, Homomorphism, _encode, _induced_tables
+from .algebra import Congruence, FiniteAlgebra, Homomorphism, _induced_tables, _product_values
 from .contexts import IdealContext, _null_elements
 
 
@@ -110,16 +110,21 @@ class Relation:
         return self._compatible
 
     def verify_compatible(self) -> bool:
-        """Recompute the compatibility certificate from scratch."""
-        ps = list(self.pairs())
-        ns, nt = self.source.size, self.target.size
-        for sym, arity, stable in self.source.operations():
-            ttable = self.target.table(sym)
-            for combo in itertools.product(ps, repeat=arity):
-                a = stable[_encode((p[0] for p in combo), ns)]
-                b = ttable[_encode((p[1] for p in combo), nt)]
-                if (a, b) not in self:
-                    return False
+        """Recompute the compatibility certificate from scratch: each
+        operation's values over every tuple of pairs, gathered on the
+        pairs' two columns (`_product_values`), must be pairs again."""
+        source, target = self.source, self.target
+        if source.signature != target.signature:
+            raise ValueError("source and target must share a signature")
+        pairs = list(self.pairs())
+        firsts, seconds = zip(*pairs) if pairs else ((), ())
+        nt = target.size
+        codes = {x * nt + y for x, y in pairs}
+        for (_, arity, stable), ttable in zip(source.operations(), target.tables):
+            lefts = _product_values(stable, source.size, firsts, arity)
+            rights = _product_values(ttable, nt, seconds, arity)
+            if not codes.issuperset(map(add, map(nt.__mul__, lefts), rights)):
+                return False
         return True
 
 

@@ -7,13 +7,14 @@ only where a term leaves the clone.  A round evaluates each operation
 at once for each argument prefix's batch of last arguments, on tables
 packed as bytes; prefixes and batches follow the order of a plain
 lexicographic scan, so element order, first-found terms and budget
-cut-offs do not depend on the batching.  One search over the growing
-clone decides whether the generated variety has subtraction-style binary
-terms for its constants, or a ternary Mal'tsev term, and certifies each
-witness; it tests each element as the closure inserts it and stops at
-the element that gives the last target its witness.  Absence
-certificates are only issued when the clone closure actually reached
-its fixpoint.  One evaluator turns syntax trees, parsed
+cut-offs do not depend on the batching.  The closure is one call that
+returns its elements and whether it reached its fixpoint.  One search
+over the growing clone decides whether the generated variety has
+subtraction-style binary terms for its constants, or a ternary Mal'tsev
+term, and certifies each witness; it tests each element as the closure
+inserts it and stops the closure at the element that gives the last
+target its witness.  Absence certificates are only issued when the
+closure reached its fixpoint.  One evaluator turns syntax trees, parsed
 identities included, into value tables with the table-composition kernel
 of `algebra`, which also owns the flat-table encoding they use.
 """
@@ -184,15 +185,15 @@ class FreeAlgebraModel:
 _CELL_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
-def _clone_rounds(a: FiniteAlgebra, n: int, budget: int, settled=None):
-    """Yield (elements, complete, exhausted) after seeding and after each
-    closure round, the elements as (table, term) pairs; rounds apply every
-    basic operation to all argument tuples that involve at least one
-    element from the previous round.  A budget below one table stops the
-    closure at seeding, with no element.  ``settled``, if given, is called
-    as settled(index, table) on each element as it is inserted; once it
-    returns true, the generator yields the elements so far, neither
-    complete nor exhausted, and returns.
+def _clone_closure(a: FiniteAlgebra, n: int, budget: int, settled=None):
+    """Return (elements, complete) of the closure of the projections and
+    constants under every basic operation, the elements as (table, term)
+    pairs in generation order.  Each round applies every basic operation
+    to all argument tuples that involve an element from the previous
+    round; the closure is complete when a round adds nothing.  It stops,
+    not complete, at the first element beyond the budget (a budget below
+    one table gives none) or when ``settled``, called as settled(index,
+    table) on each element as it is inserted, returns true.
 
     Invariant that fixes the element order, the first-found terms and the
     budget cut-off (and so the golden reports): within a round the
@@ -232,20 +233,16 @@ def _clone_rounds(a: FiniteAlgebra, n: int, budget: int, settled=None):
     elements: list[tuple[tuple[int, ...], Term]] = []
     keys: set[bytes] = set()
     pool = bytearray()
-    exhausted = stopped = False
 
     def insert(key: bytes, term: Term) -> bool:
         # key is not in keys; true when the closure stops here
-        nonlocal exhausted, stopped
         if len(elements) >= max_elements:
-            exhausted = True
             return True
         keys.add(key)
         pool.extend(key)
         table = tuple(memoryview(key).cast(code))
         elements.append((table, term))
-        stopped = settled is not None and settled(len(elements) - 1, table)
-        return stopped
+        return settled is not None and settled(len(elements) - 1, table)
 
     seeds = [(proj, Var(i)) for i, proj in enumerate(_projections(size, n))]
     seeds += [
@@ -255,11 +252,10 @@ def _clone_rounds(a: FiniteAlgebra, n: int, budget: int, settled=None):
     for table, term in seeds:
         key = b"".join(v.to_bytes(width, order) for v in table)
         if key not in keys and insert(key, term):
-            break
-    yield elements, False, exhausted
+            return elements, False
 
     frontier = 0
-    while not (exhausted or stopped):
+    while True:
         snapshot = len(elements)
         with memoryview(pool) as view:
             runs = {
@@ -287,18 +283,10 @@ def _clone_rounds(a: FiniteAlgebra, n: int, budget: int, settled=None):
                     if key not in keys and insert(
                         key, App(sym, (*prefix_terms, elements[last][1]))
                     ):
-                        break
-                if exhausted or stopped:
-                    break
-            if exhausted or stopped:
-                break
-        if len(elements) == snapshot and not exhausted:
-            yield elements, True, False
-            return
+                        return elements, False
+        if len(elements) == snapshot:
+            return elements, True
         frontier = snapshot
-        yield elements, False, exhausted
-    if exhausted:
-        yield elements, False, True
 
 
 def free_term_operations(
@@ -310,11 +298,7 @@ def free_term_operations(
         raise BudgetError(
             f"table length {a.size ** n} exceeds the clone budget {budget}"
         )
-    elements, complete = [], False
-    for elements, complete, exhausted in _clone_rounds(a, n, budget):
-        if exhausted:
-            break
-    return FreeAlgebraModel(a, n, elements, complete)
+    return FreeAlgebraModel(a, n, *_clone_closure(a, n, budget))
 
 
 def _certify(a, arity, table, term, identities, symbol) -> TermOperation:
@@ -362,11 +346,8 @@ def _search(
             found[key] = index
         return not pending
 
-    # the closure ends itself at the last witness, its fixpoint or its
-    # budget; its last yield holds the elements generated
-    clone, complete = [], False
-    for clone, complete, _ in _clone_rounds(a, arity, budget, settled):
-        pass
+    # the closure ends itself at the last witness, its fixpoint or its budget
+    clone, complete = _clone_closure(a, arity, budget, settled)
 
     witnesses = {
         key: _certify(a, arity, *clone[found[key]], identities, symbol)
@@ -395,8 +376,8 @@ class SubtractiveSearch:
     """Outcome of the subtraction-term search.
 
     ``terms`` holds one witnessing term per element found (first in clone
-    order); ABSENT is only reported over a complete clone, otherwise an
-    exhausted budget yields INCONCLUSIVE.  ``clone_size`` counts the
+    order); ABSENT is only reported over a complete clone, otherwise a
+    spent budget yields INCONCLUSIVE.  ``clone_size`` counts the
     elements generated up to and including the last witness on FOUND,
     and the whole closure or the budget's cut otherwise."""
 

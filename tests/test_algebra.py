@@ -278,6 +278,12 @@ class TestCongruences:
         with pytest.raises(ValueError):
             sc.Congruence.from_pair_set(set3, {(0, 0), (1, 1), (2, 2), (0, 1)})
 
+    @pytest.mark.parametrize("pair", [(0, 5), (-1, 0), (3, 3)])
+    def test_from_pair_set_rejects_pairs_out_of_range(self, set3, pair):
+        diagonal = {(x, x) for x in set3.carrier}
+        with pytest.raises(ValueError, match=rf"pair \({pair[0]},{pair[1]}\) out of range"):
+            sc.Congruence.from_pair_set(set3, diagonal | {pair})
+
 
 class TestCongruenceOracle:
     @pytest.mark.parametrize(

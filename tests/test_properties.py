@@ -33,7 +33,7 @@ from starcheck.relations import (
     _pull_back_stack,
     _stack_masks,
 )
-from starcheck.terms import App, Var, _clone_rounds, term_text, variable_name
+from starcheck.terms import App, Var, _clone_closure, term_text, variable_name
 
 from conftest import (
     all_maps,
@@ -161,7 +161,7 @@ def reference_enumeration(a, budget):
     square = sc.direct_power(a, 2, budget=a.size * a.size)
     diag = sc.subalgebra_closure(square, (x * a.size + x for x in a.carrier))
     principals = list(dict.fromkeys(
-        sc.subalgebra_closure(square, (p,), closed=diag)
+        sc.subalgebra_closure(square, diag | {p})
         for p in range(square.size)
         if p not in diag
     ))
@@ -184,7 +184,7 @@ def reference_enumeration(a, budget):
         for p in principals:
             if p <= r or r | p in seen:
                 continue
-            if not admit(sc.subalgebra_closure(square, p - r, closed=r)):
+            if not admit(sc.subalgebra_closure(square, r | p)):
                 truncated = True
                 break
     return sorted(sum(1 << q for q in state) for state in found), truncated
@@ -277,7 +277,7 @@ def test_closure_over_closed_subuniverse(a, power, data):
     subsets = st.frozensets(st.integers(0, b.size - 1), max_size=3)
     closed = sc.subalgebra_closure(b, data.draw(subsets))
     seed = data.draw(subsets)
-    grown = sc.subalgebra_closure(b, seed, closed=closed)
+    grown = closed.union(*_closure_rounds(_closure_rows(b), set(seed), closed))
     assert grown == sc.subalgebra_closure(b, closed | seed)
     assert grown == naive_closure(b, closed | seed)
 
@@ -358,7 +358,7 @@ def test_closure_rounds_on_wide_carrier(closed_seed, seed):
     rounds = list(_closure_rounds(_closure_rows(a), set(seed), closed))
     assert rounds == list(reference_closure_rounds(a, set(seed), closed))
     assert closed.union(*rounds) == naive_closure(a, closed | set(seed))
-    assert sc.subalgebra_closure(a, seed, closed=closed) == closed.union(*rounds)
+    assert sc.subalgebra_closure(a, closed | set(seed)) == closed.union(*rounds)
 
 def _decode(idx, size, length):
     """The argument tuple with lexicographic code idx."""
@@ -448,13 +448,19 @@ def with_wide_cells(test):
 @given(mixed_algebras(), st.integers(1, 2), st.integers(1, 20))
 def test_clone_rounds_match_reference(a, n, max_elements):
     # budgets of 1 to 20 elements: small ones run out inside a round, and
-    # some inside one argument prefix's batch
-    budget = max_elements * a.size**n
-    rounds = [
-        ([(table, term_text(term)) for table, term in elements], complete, exhausted)
-        for elements, complete, exhausted in _clone_rounds(a, n, budget)
-    ]
-    assert rounds == list(reference_clone_rounds(a, n, budget))
+    # some inside one argument prefix's batch.  The closure returns the
+    # reference's last state; cut at the size of each earlier round's end,
+    # it returns that round's elements.
+    tab_len = a.size**n
+
+    def closure(budget):
+        elements, complete = _clone_closure(a, n, budget)
+        return [(table, term_text(term)) for table, term in elements], complete
+
+    *earlier, (elements, complete, _) = reference_clone_rounds(a, n, max_elements * tab_len)
+    assert closure(max_elements * tab_len) == (elements, complete)
+    for round_elements, _, _ in earlier:
+        assert closure(len(round_elements) * tab_len)[0] == round_elements
 
 
 def reference_search(a, arity, budget, accepts):
@@ -961,6 +967,33 @@ def naive_compatible(a, p):
         for sym, arity, _ in a.operations()
         for combo in itertools.product(p, repeat=arity)
     )
+
+
+def naive_pair_closure(a, b, p):
+    """The least subuniverse of a x b containing p, one argument tuple of
+    pairs at a time."""
+    members = set(p)
+    while True:
+        grown = members | {
+            (a.apply(sym, tuple(x for x, _ in combo)), b.apply(sym, tuple(y for _, y in combo)))
+            for sym, arity, _ in a.operations()
+            for combo in itertools.product(sorted(members), repeat=arity)
+        }
+        if grown == members:
+            return grown
+        members = grown
+
+
+@PROPERTY_SETTINGS
+@given(algebra_pairs(), st.data())
+def test_compatibility_between_two_algebras(pair, data):
+    # the source's operations in the first column, the target's in the
+    # second; a drawn set is rarely compatible, its closure always is
+    a, b = pair
+    p = data.draw(pair_sets(a.size, b.size))
+    for q in (p, naive_pair_closure(a, b, p)):
+        expected = naive_pair_closure(a, b, q) == q
+        assert sc.Relation.from_pairs(a, b, q).verify_compatible() == expected
 
 
 def equal_label_pairs(labels):

@@ -292,3 +292,12 @@ class TestCompatibilityFlag:
     def test_empty_signature_everything_compatible(self, set3):
         for mask in range(0, 1 << 9, 23):
             assert sc.Relation(set3, set3, mask).compatible
+
+    def test_signatures_must_match(self, set3, bool2):
+        # in both directions, although the bare source has no operation to check
+        for source, target in ((set3, bool2), (bool2, set3)):
+            r = sc.Relation(source, target, 1)
+            with pytest.raises(ValueError, match="share a signature"):
+                r.verify_compatible()
+            with pytest.raises(ValueError, match="share a signature"):
+                r.compatible
