@@ -8,8 +8,9 @@ Times, each call in full, with `time.perf_counter`:
 - `find_e_subtractive_terms` on the rings Z4 to Z9 (the last two spend
   the clone budget, Z9 inside a round; the others stop at their last
   witness) and `find_maltsev_term` on groupZ2 (clone layer);
-- `all_congruences` on the squares of ringZ4 and bool4 (congruence
-  lattice);
+- `all_congruences` on the squares of ringZ4 and bool4, the 8-element
+  chain lattice (128 congruences) and the bare 7-element set (877), the
+  last two dominated by joins (congruence lattice);
 - `substitution_graph` of ringZ2 at 0, which builds both free models and
   a term operation per element (free-model layer), and the graph route
   (`substitution_graph`, then `graph_left_star_symmetric`) of ringZ3 and
@@ -230,6 +231,13 @@ def cases(sc, tmp: pathlib.Path):
             return f"congruences={len(sc.all_congruences(square, size_budget=16))}"
 
         out.append((f"all_congruences {name}^2", congruences))
+    for name, text in (("lattice8", lattice_text(8)), ("set7", "algebra set7\nsize 7\n")):
+        a = sc.parse_algebra(text)
+
+        def congruences(a=a):
+            return f"congruences={len(sc.all_congruences(a))}"
+
+        out.append((f"all_congruences {name}", congruences))
 
     z6 = sc.parse_algebra(group_text(6))
 

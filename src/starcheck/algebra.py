@@ -13,8 +13,9 @@ the table, and each distinct row is gathered over the column once.  A
 direct power needs no lookup at all: a point's position is its base-n code,
 so `direct_power` computes its tables by code arithmetic.  Subuniverse
 closures read the same rows (`_closure_rows`): a round gathers each row
-at a whole batch of last arguments at once.  The congruence lattice
-stops each principal congruence at the first union whose already known
+at a whole batch of last arguments at once.  Partitions are lists of
+smallest-member labels, kept so by `_merge`.  The congruence lattice
+stops each principal congruence at the first merge whose already known
 principal relates the generating pair.
 """
 
@@ -302,6 +303,11 @@ class HomomorphismSearch:
             raise ValueError("domain and codomain must share a signature")
         self.domain = sorted(candidates)
         self.candidates = [sorted(candidates[x]) for x in self.domain]
+        for x, cands in zip(self.domain, self.candidates):
+            if not 0 <= x < a.size:
+                raise ValueError(f"domain element {x} out of range")
+            if cands and not 0 <= cands[0] <= cands[-1] < b.size:
+                raise ValueError(f"candidates {cands} for {x} out of codomain range")
         self.node_budget = node_budget
         self.nodes = 0
         self._size = b.size
@@ -539,28 +545,6 @@ def image_factorization(
     return surjection, image, inclusion
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, x: int, y: int) -> bool:
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
-            return False
-        if ry < rx:
-            rx, ry = ry, rx
-        self.parent[ry] = rx
-        return True
-
-
 @dataclass(frozen=True)
 class Congruence:
     """A compatible equivalence relation, stored as the map sending each
@@ -574,7 +558,7 @@ class Congruence:
         if len(p) != a.size:
             raise ValueError("partition length must equal carrier size")
         for x, rep in enumerate(p):
-            if rep > x or p[rep] != rep:
+            if not 0 <= rep <= x or p[rep] != rep:
                 raise ValueError("partition is not in smallest-member form")
         # compatibility via single-argument translations (Mal'cev): each
         # element must land in the block of its representative's image
@@ -605,24 +589,16 @@ class Congruence:
         for x, y in sorted(pairs):
             if not (0 <= x < a.size and 0 <= y < a.size):
                 raise ValueError(f"pair ({x},{y}) out of range")
-        uf = _UnionFind(a.size)
+        labels = list(a.carrier)
         for x, y in pairs:
-            uf.union(x, y)
-        partition = _canonical_partition(uf, a.size)
+            if labels[x] != labels[y]:
+                _merge(labels, x, y)
+        partition = tuple(labels)
         for x in a.carrier:
             for y in a.carrier:
                 if (partition[x] == partition[y]) != ((x, y) in pairs):
                     raise ValueError("pair set is not an equivalence relation")
         return cls(a, partition)
-
-
-def _canonical_partition(uf: _UnionFind, n: int) -> tuple[int, ...]:
-    smallest: dict[int, int] = {}
-    for x in range(n):
-        root = uf.find(x)
-        if root not in smallest:
-            smallest[root] = x
-    return tuple(smallest[uf.find(x)] for x in range(n))
 
 
 @functools.lru_cache(maxsize=None)
@@ -644,15 +620,25 @@ def _translations(a: FiniteAlgebra) -> tuple[tuple[int, ...], ...]:
     return tuple(found)
 
 
+def _merge(labels: list[int], x: int, y: int) -> None:
+    """Merge the blocks of x and y in place: every element labelled with
+    the larger of their labels takes the smaller.  Labels that are each
+    block's smallest member stay so."""
+    keep, drop = sorted((labels[x], labels[y]))
+    labels[:] = [keep if label == drop else label for label in labels]
+
+
 def _unions(
-    a: FiniteAlgebra, uf: _UnionFind, pairs: Iterable[tuple[int, int]]
+    a: FiniteAlgebra, labels: list[int], pairs: Iterable[tuple[int, int]]
 ) -> Iterator[tuple[int, int]]:
-    """Union every pair in `uf`, then move every union by every unary
-    translation until the partition is compatible; yields each union that
-    merged two blocks, as it is made.  A caller may stop early."""
+    """Merge the blocks of every pair in `labels`, then move every merge
+    by every unary translation until the partition is compatible; yields
+    each pair that merged two blocks, as it is merged.  A caller may stop
+    early."""
     queue: list[tuple[int, int]] = []
     for x, y in pairs:
-        if uf.union(x, y):
+        if labels[x] != labels[y]:
+            _merge(labels, x, y)
             queue.append((x, y))
             yield x, y
     translations = _translations(a)
@@ -660,7 +646,8 @@ def _unions(
         x, y = queue.pop()
         for t in translations:
             u, v = t[x], t[y]
-            if uf.union(u, v):
+            if labels[u] != labels[v]:
+                _merge(labels, u, v)
                 queue.append((u, v))
                 yield u, v
 
@@ -668,24 +655,24 @@ def _unions(
 def congruence_generated(
     a: FiniteAlgebra, pairs: Iterable[tuple[int, int]]
 ) -> Congruence:
-    """Least congruence relating every given pair: union-find in which
-    every union is queued and moved by every unary translation."""
+    """Least congruence relating every given pair: smallest-member labels
+    in which every merge is queued and moved by every unary translation."""
     pairs = sorted(set(pairs))
     if pairs and (min(map(min, pairs)) < 0 or max(map(max, pairs)) >= a.size):
         x, y = next(p for p in pairs if not (0 <= p[0] < a.size and 0 <= p[1] < a.size))
         raise ValueError(f"pair ({x},{y}) out of range")
-    uf = _UnionFind(a.size)
-    for _ in _unions(a, uf, pairs):
+    labels = list(a.carrier)
+    for _ in _unions(a, labels, pairs):
         pass
-    return Congruence(a, _canonical_partition(uf, a.size))
+    return Congruence(a, tuple(labels))
 
 
 def _join_partitions(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    uf = _UnionFind(len(p))
-    for x in range(len(p)):
-        uf.union(x, p[x])
-        uf.union(x, q[x])
-    return _canonical_partition(uf, len(p))
+    labels = list(p)
+    for x, y in enumerate(q):
+        if labels[x] != labels[y]:
+            _merge(labels, x, y)
+    return tuple(labels)
 
 
 def all_congruences(
@@ -714,14 +701,14 @@ def all_congruences(
     found = {discrete.partition: discrete}
     principal_of: dict[tuple[int, int], tuple[int, ...]] = {}
     for x, y in itertools.combinations(a.carrier, 2):
-        uf = _UnionFind(a.size)
-        for u, v in _unions(a, uf, [(x, y)]):
+        labels = list(a.carrier)
+        for u, v in _unions(a, labels, [(x, y)]):
             known = principal_of.get((u, v) if u < v else (v, u))
             if known is not None and known[x] == known[y]:
                 partition = known
                 break
         else:
-            partition = _canonical_partition(uf, a.size)
+            partition = tuple(labels)
         principal_of[x, y] = partition
         if partition not in found:
             found[partition] = Congruence(a, partition)

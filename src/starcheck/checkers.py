@@ -145,6 +145,8 @@ def graph_left_star_symmetric(
     legs of a substitution graph whose free models did not close) yields
     INCONCLUSIVE as well, naming the clone budget: FAIL only comes from
     complete legs."""
+    if node_budget < 1:
+        raise ValueError("sigma node budget must be positive")
     if g0 is None or g1 is None:
         return GraphSymmetryVerdict(Verdict.INCONCLUSIVE, budget="clone-cells")
     if g0.domain != g1.domain or g0.codomain != g1.codomain:

@@ -38,7 +38,7 @@ from operator import add
 from typing import Iterable, Iterator
 
 from .algebra import Congruence, FiniteAlgebra, Homomorphism, _induced_tables, _product_values
-from .contexts import IdealContext, _null_elements
+from .contexts import IdealContext, _null_elements, n_kernel
 
 
 class Relation:
@@ -330,8 +330,6 @@ def star_via_pullback(ctx: IdealContext, r: Relation) -> Relation:
     """Same pair set as star, computed by the independent route: view the
     pair set as an algebra, take the kernel of its first projection under
     the context, and map the kernel forward."""
-    from .contexts import n_kernel  # local import to keep the module graph flat
-
     _require_star_input(ctx, r)
     x = r.source
     ps = list(r.pairs())

@@ -413,6 +413,8 @@ def find_e_subtractive_terms(
             raise ValueError("the signature has no constants")
     else:
         targets = tuple(sorted(set(elements)))
+        if not targets:
+            raise ValueError("no target elements")
         for e in targets:
             if not 0 <= e < a.size:
                 raise ValueError(f"element {e} out of range")

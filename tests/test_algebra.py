@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -190,6 +191,16 @@ class TestHomomorphisms:
         with pytest.raises(ValueError, match=r"^map value -1 out of codomain range$"):
             sc.check_homomorphism(ring_z2, ring_z2, [-1, 5])
 
+    @pytest.mark.parametrize("candidates, message", [
+        ({0: [9], 1: [1]}, r"^candidates \[9\] for 0 out of codomain range$"),
+        ({0: [0, -1], 1: [1]}, r"^candidates \[-1, 0\] for 0 out of codomain range$"),
+        ({0: [0], 5: [1]}, r"^domain element 5 out of range$"),
+        ({-1: [0], 0: [1]}, r"^domain element -1 out of range$"),
+    ])
+    def test_search_rejects_out_of_range_inputs(self, set3, candidates, message):
+        with pytest.raises(ValueError, match=message):
+            sc.HomomorphismSearch(set3, set3, candidates, 100)
+
     def test_constructor_rejects_non_homomorphism(self, monoid01):
         with pytest.raises(ValueError, match="commute"):
             sc.Homomorphism(monoid01, monoid01, (1, 0))
@@ -284,6 +295,11 @@ class TestCongruences:
         with pytest.raises(ValueError, match=rf"pair \({pair[0]},{pair[1]}\) out of range"):
             sc.Congruence.from_pair_set(set3, diagonal | {pair})
 
+    @pytest.mark.parametrize("partition", [(0, 1, -1), (0, 0, -1), (-3, 1, 2)])
+    def test_labels_outside_carrier_rejected(self, set3, partition):
+        with pytest.raises(ValueError, match="smallest-member form"):
+            sc.Congruence(set3, partition)
+
 
 class TestCongruenceOracle:
     @pytest.mark.parametrize(
@@ -298,6 +314,24 @@ class TestCongruenceOracle:
         }
         got = {c.partition for c in sc.all_congruences(a)}
         assert got == expected
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_chain_lattice_congruences_are_interval_partitions(self, k):
+        # a partition of a chain lattice is a congruence iff its blocks are
+        # intervals: the 2^(k-1) choices of where to cut the chain
+        sig = sc.Signature((("bot", 0), ("meet", 2), ("join", 2)))
+        pairs = [(x, y) for x in range(k) for y in range(k)]
+        tables = ((0,), tuple(min(p) for p in pairs), tuple(max(p) for p in pairs))
+        a = sc.FiniteAlgebra(sig, k, tables)
+        intervals = set()
+        for cuts in itertools.product((False, True), repeat=k - 1):
+            labels = [0]
+            for x, cut in enumerate(cuts, start=1):
+                labels.append(x if cut else labels[-1])
+            intervals.add(tuple(labels))
+        got = [c.partition for c in sc.all_congruences(a)]
+        assert len(got) == 2 ** (k - 1)
+        assert set(got) == intervals
 
     def test_set4_partition_filter(self):
         a = empty_set_algebra(4)

@@ -178,6 +178,12 @@ class TestGraphChecker:
         v = sc.graph_left_star_symmetric(sc.Total(), ident, ident, node_budget=2)
         assert v.budget == "sigma-nodes 2/2"
 
+    @pytest.mark.parametrize("budget", [0, -5])
+    def test_node_budget_below_one_raises(self, set3, budget):
+        ident = sc.identity_homomorphism(set3)
+        with pytest.raises(ValueError, match="sigma node budget must be positive"):
+            sc.graph_left_star_symmetric(sc.Total(), ident, ident, node_budget=budget)
+
     def test_missing_leg_is_inconclusive(self, set3):
         ident = sc.identity_homomorphism(set3)
         for g0, g1 in [(None, None), (ident, None), (None, ident)]:

@@ -130,6 +130,12 @@ class TestSubtractiveSearch:
         with pytest.raises(ValueError, match="constants"):
             sc.find_e_subtractive_terms(set3)
 
+    @pytest.mark.parametrize("kwargs", [{}, {"budget": 10}])
+    def test_empty_targets_rejected(self, ring_z4, kwargs):
+        # no target would make FOUND vacuous: a verdict without a term
+        with pytest.raises(ValueError, match="no target elements"):
+            sc.find_e_subtractive_terms(ring_z4, elements=(), **kwargs)
+
     def test_unsound_witness_is_an_internal_error(self, monkeypatch, bool2):
         # a search that accepts every table would report the projection x;
         # the identity check on the whole carrier must refuse it
