@@ -29,7 +29,12 @@ Times, each call in full, with `time.perf_counter`:
   closures) and on monoid01^2 (306 relations, mostly join closures), and
   `audit_algebra` on ringZ4^2 under proto and on monoid01^2 under
   pointed:zero, each with a congruence budget of 16 (power, enumeration
-  and the congruence lattice, as perfbench's squares workload audits);
+  and the congruence lattice, as perfbench's squares workload audits),
+  the audit's permutability suites 1-2 alone on ringZ4^2's 9 congruences
+  under proto (`relations._star_permute_witnesses`; a checkout without it
+  runs `check_star_permutes` on every ordered pair, as its audit did),
+  and `audit_algebra` on the 8-element chain lattice under pointed:bot,
+  whose 128 congruences give 16,384 ordered pairs;
 - the public `star(compose(s, r)) == compose(star(s), r)` loop over the
   512 x 512 relations of set3 under the total context, `compose(star(s),
   r)` over every pair of enumerated relations of monoid01^2 under
@@ -305,10 +310,36 @@ def cases(sc, tmp: pathlib.Path):
         report = sc.audit_algebra(sc.ProtoPointed(), square, congruence_size_budget=16)
         return " ".join(f"{c.verdict.value}/{c.examined}" for c in report.conditions)
 
+    congruences = sc.all_congruences(square, size_budget=16)
+
+    def permutability():
+        """Suites 1-2 of the audit alone, on the congruences found once."""
+        from starcheck import relations
+
+        ctx = sc.ProtoPointed()
+        members = [sc.congruence_relation(c) for c in congruences]
+        if hasattr(relations, "_star_permute_witnesses"):
+            masks = [r.mask for r in members]
+            witnesses = list(relations._star_permute_witnesses(ctx, square, masks))
+        else:  # older checkouts: the public checker on every ordered pair
+            witnesses = [(r, s) for r in members for s in members
+                         if not sc.check_star_permutes(ctx, r, s).holds]
+        return f"pairs={len(congruences) ** 2} failures={len(witnesses)}"
+
+    lattice8 = sc.parse_algebra(lattice_text(8))
+
+    def lattice_audit():
+        report = sc.audit_algebra(sc.parse_context("pointed:bot"), lattice8)
+        return " ".join(
+            f"{c.verdict.value}/{c.examined}/{len(c.witnesses)}" for c in report.conditions
+        )
+
     out.append(("direct_power ringZ4^2", power))
     out.append(("square rows ringZ4^2", square_rows))
     out.append(("enumerate_reflexive_compatible ringZ4^2", enumeration))
     out.append(("audit_algebra ringZ4^2 proto", audit))
+    out.append(("audit suites 1-2 ringZ4^2 proto", permutability))
+    out.append(("audit_algebra lattice8 pointed:bot", lattice_audit))
 
     set3 = sc.parse_algebra((ROOT / "corpus" / "set3.alg").read_text())
     family = [sc.Relation(set3, set3, mask) for mask in range(1 << 9)]

@@ -76,6 +76,15 @@ def _encode(args: Iterable[int], size: int) -> int:
     return idx
 
 
+def _checked_code(args: tuple[int, ...], arity: int, size: int) -> int:
+    """The table index of ``arity`` arguments on the carrier {0..size-1}."""
+    if len(args) != arity:
+        raise ValueError(f"expected {arity} arguments, got {len(args)}")
+    if not all(0 <= x < size for x in args):
+        raise ValueError(f"arguments {args} out of range for size {size}")
+    return _encode(args, size)
+
+
 def _digits(size: int, length: int, position: int) -> Iterator[int]:
     """Digit ``position`` (leftmost first) of each index 0..size**length-1
     written with ``length`` digits in base ``size``, lazily: the value
@@ -183,7 +192,7 @@ class FiniteAlgebra:
         raise KeyError(name)
 
     def apply(self, name: str, args: tuple[int, ...]) -> int:
-        return self.table(name)[_encode(args, self.size)]
+        return self.table(name)[_checked_code(args, self.signature.arity(name), self.size)]
 
     def constant_value(self, name: str) -> int:
         if self.signature.arity(name) != 0:
@@ -308,6 +317,8 @@ class HomomorphismSearch:
                 raise ValueError(f"domain element {x} out of range")
             if cands and not 0 <= cands[0] <= cands[-1] < b.size:
                 raise ValueError(f"candidates {cands} for {x} out of codomain range")
+        if node_budget < 1:
+            raise ValueError("node budget must be positive")
         self.node_budget = node_budget
         self.nodes = 0
         self._size = b.size

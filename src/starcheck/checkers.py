@@ -9,7 +9,10 @@ for the connecting homomorphism between the kernels of the two legs with
 `algebra.HomomorphismSearch`, and is INCONCLUSIVE on a graph without
 legs.  The whole-algebra audit runs four condition suites over the
 congruences and the enumerated reflexive compatible relations of one
-algebra, reading both symmetry witnesses off each relation's mask.
+algebra.  Suites 1-2 read each permutability witness off the stacked
+star composites of `relations` (one composition per congruence, not two
+per ordered pair), and suites 3-4 read both symmetry witnesses off each
+relation's mask.
 A single finite algebra can only certify counterexamples: a
 failure refutes the variety it generates, while a clean audit is evidence,
 not a proof (positive variety-level certificates come from the term
@@ -37,6 +40,7 @@ from .relations import (
     Relation,
     _mask_pairs,
     _null_rows,
+    _star_permute_witnesses,
     _transpose_mask,
     compose,
     congruence_relation,
@@ -322,37 +326,22 @@ def audit_algebra(
     (compatible equivalence relations coincide with congruences here, so
     suite 2 runs over the same set and says so); 3 and 4 check left
     star-symmetry and star-symmetry over every enumerated reflexive
-    compatible relation.  Their witnesses, those of the public checkers,
-    are first pairs of the relation's mask m and transpose t: of
-    m & null & ~t on the left, else of t & null & ~m on the opposite."""
+    compatible relation.  The witnesses are the public checkers': 1-2 read
+    them off stacked composites, 3-4 take the first pair of m & null & ~t,
+    else of t & null & ~m (opposite), m and t the masks of r and r^op."""
     validate_context(ctx, a)
     congruences = all_congruences(a, size_budget=congruence_size_budget)
-    cong_rel = {c: congruence_relation(c) for c in congruences}
-
-    permute_witnesses: list[PermutabilityWitness] = []
-    examined_pairs = 0
-    for first in congruences:
-        for second in congruences:
-            examined_pairs += 1
-            verdict = check_star_permutes(ctx, cong_rel[first], cong_rel[second])
-            if not verdict.holds:
-                permute_witnesses.append(
-                    PermutabilityWitness(first, second, verdict.witness)
-                )
-    permute_verdict = Verdict.FAIL if permute_witnesses else Verdict.PASS
-    cond1 = ConditionOutcome(
-        "congruence-pairs-star-permute",
-        permute_verdict,
-        examined_pairs,
-        tuple(permute_witnesses),
+    masks = [congruence_relation(c).mask for c in congruences]
+    witnesses = tuple(
+        PermutabilityWitness(congruences[i], congruences[j], pair)
+        for i, j, pair in _star_permute_witnesses(ctx, a, masks)
     )
-    cond2 = ConditionOutcome(
-        "equivalence-pairs-star-permute",
-        permute_verdict,
-        examined_pairs,
-        tuple(permute_witnesses),
-        note="compatible equivalence relations coincide with congruences here",
-    )
+    permutes = (Verdict.FAIL if witnesses else Verdict.PASS, len(congruences) ** 2, witnesses)
+    note = "compatible equivalence relations coincide with congruences here"
+    conditions = [
+        ConditionOutcome("congruence-pairs-star-permute", *permutes),
+        ConditionOutcome("equivalence-pairs-star-permute", *permutes, note=note),
+    ]
 
     enum = enumerate_reflexive_compatible(a, budget=max_relations)
     left_witnesses: list[SymmetryWitness] = []
@@ -367,29 +356,16 @@ def audit_algebra(
         elif right := t & null & ~r.mask:
             full_witnesses.append(SymmetryWitness(r, next(_mask_pairs(right, n)), True))
 
-    def sym_verdict(witnesses) -> Verdict:
-        if witnesses:
-            return Verdict.FAIL
-        return Verdict.INCONCLUSIVE if enum.truncated else Verdict.PASS
-
     note = "enumeration truncated by budget" if enum.truncated else ""
-    cond3 = ConditionOutcome(
-        "reflexive-left-star-symmetric",
-        sym_verdict(left_witnesses),
-        len(enum.relations),
-        tuple(left_witnesses),
-        note=note,
-    )
-    cond4 = ConditionOutcome(
-        "reflexive-star-symmetric",
-        sym_verdict(full_witnesses),
-        len(enum.relations),
-        tuple(full_witnesses),
-        note=note,
-    )
+    for key, found in (
+        ("reflexive-left-star-symmetric", left_witnesses),
+        ("reflexive-star-symmetric", full_witnesses),
+    ):
+        passed = Verdict.INCONCLUSIVE if enum.truncated else Verdict.PASS
+        verdict = Verdict.FAIL if found else passed
+        conditions.append(
+            ConditionOutcome(key, verdict, len(enum.relations), tuple(found), note=note)
+        )
     return AuditReport(
-        a.name or "<anonymous>",
-        str(ctx),
-        (cond1, cond2, cond3, cond4),
-        truncated=enum.truncated,
+        a.name or "<anonymous>", str(ctx), tuple(conditions), truncated=enum.truncated
     )

@@ -13,12 +13,9 @@ Machine-mode reports are line oriented and byte-stable across runs.
 check-identities finds its endomorphisms with `algebra.HomomorphismSearch`
 under `_ENDO_NODE_BUDGET` nodes, with no cap on the carrier size.  It
 admits each member of its relation family once, through `star`, and then
-runs the n^2 laws on the admitted family's masks with the kernels of
-`relations`: the family is stacked into one mask (member i at bit
-i * n^2 for an n-element carrier), so law-compose-star costs two
-compositions per relation r and law-inverse-image-star two pull-backs
-per endomorphism f, each covering every case of that r or f at once.  A
-family cut short by the relation budget makes the command INCONCLUSIVE.
+runs the laws on the admitted family's masks with the stacked kernels of
+`relations`.  A family cut short by the relation budget makes the
+command INCONCLUSIVE.
 
 One table, `_COMMANDS`, holds each subcommand's name, function, help and
 flags.  When ``argv[0]`` names a subcommand, `main` builds only that
@@ -54,7 +51,6 @@ from .algebra import (
 from .checkers import (
     DEFAULT_RELATION_BUDGET,
     PermutabilityWitness,
-    SymmetryWitness,
     Verdict,
     audit_algebra,
     enumerate_reflexive_compatible,
@@ -65,11 +61,8 @@ from .contexts import IdealContext, Pointed, Total, parse_context, resolve_base,
 from .errors import BudgetError, ContextError, ParseError, UsageError
 from .relations import (
     Relation,
-    _compose_masks,
-    _null_rows,
-    _pull_back_stack,
-    _stack_masks,
-    _tile_mask,
+    _compose_star_sides,
+    _inverse_image_star_sides,
     congruence_relation,
     diagonal,
     inverse_image,
@@ -228,12 +221,11 @@ def _cmd_audit(args: argparse.Namespace, out: IO[str]) -> int:
             if cond.witnesses:
                 parts.append(f"failures={len(cond.witnesses)}")
                 w = cond.witnesses[0]
+                parts.append(f"witness={_fmt_pair(w.pair)}")
                 if isinstance(w, PermutabilityWitness):
-                    parts.append(f"witness={_fmt_pair(w.pair)}")
                     parts.append(f"first={_fmt_partition(w.first)}")
                     parts.append(f"second={_fmt_partition(w.second)}")
-                elif isinstance(w, SymmetryWitness):
-                    parts.append(f"witness={_fmt_pair(w.pair)}")
+                else:
                     parts.append(f"relation={pair_set_text(w.relation)}")
                     if w.from_opposite:
                         parts.append("side=opposite")
@@ -252,7 +244,7 @@ def _cmd_audit(args: argparse.Namespace, out: IO[str]) -> int:
                         f"    counterexample: congruences {_fmt_partition(w.first)} "
                         f"and {_fmt_partition(w.second)}, pair {_fmt_pair(w.pair)}"
                     )
-                elif isinstance(w, SymmetryWitness):
+                else:
                     side = " (via the opposite relation)" if w.from_opposite else ""
                     report.raw(
                         f"    counterexample: relation {pair_set_text(w.relation)} "
@@ -384,34 +376,6 @@ def _identity_family(a: FiniteAlgebra, ctx: IdealContext, budget: int):
     return ordered, len(enum.relations) if enum.truncated else None
 
 
-def _compose_star_sides(ctx: IdealContext, a: FiniteAlgebra, masks):
-    """Both sides of law-compose-star, star(s ; r) and star(s) ; r, for
-    every r of an admitted family, given as (mask, star mask) pairs: one
-    pair of stacks per r, whose member i is the case s = member i."""
-    n, k = a.size, len(masks)
-    stack = _stack_masks([s for s, _ in masks], n)
-    star_stack = _stack_masks([star_s for _, star_s in masks], n)
-    rows = _tile_mask(_null_rows(ctx, a), n, k)
-    for r, _ in masks:
-        yield (
-            _compose_masks(stack, r, k * n, n, n) & rows,
-            _compose_masks(star_stack, r, k * n, n, n),
-        )
-
-
-def _inverse_image_star_sides(ctx: IdealContext, a: FiniteAlgebra, endos, masks):
-    """Both sides of law-inverse-image-star, star(f^-1(s)) and
-    star(f^-1(star(s))), for every endomorphism f, over an admitted family
-    given as (mask, star mask) pairs: one pair of stacks per f, whose
-    member i is the case s = member i."""
-    n, k = a.size, len(masks)
-    stack = _stack_masks([s for s, _ in masks], n)
-    star_stack = _stack_masks([star_s for _, star_s in masks], n)
-    rows = _tile_mask(_null_rows(ctx, a), n, k)
-    for f in endos:
-        yield _pull_back_stack(f, stack, k) & rows, _pull_back_stack(f, star_stack, k) & rows
-
-
 def _cmd_check_identities(args: argparse.Namespace, out: IO[str]) -> int:
     a = _load_algebra(args)
     ctx = _context_for(args, a)
@@ -428,10 +392,7 @@ def _cmd_check_identities(args: argparse.Namespace, out: IO[str]) -> int:
         )
 
     def law(key: str, cases: int, holds: bool, inconclusive: bool = False):
-        if inconclusive:
-            verdict = Verdict.INCONCLUSIVE
-        else:
-            verdict = Verdict.PASS if holds else Verdict.FAIL
+        verdict = Verdict.INCONCLUSIVE if inconclusive else Verdict.PASS if holds else Verdict.FAIL
         report.check(verdict)
         note = " note=truncated" if kept is not None else ""
         report.say(
@@ -444,7 +405,7 @@ def _cmd_check_identities(args: argparse.Namespace, out: IO[str]) -> int:
     # laws after it run on the admitted masks
     stars = [star(ctx, r) for r in family]
     pairs = list(zip(family, stars))
-    masks = [(r.mask, st.mask) for r, st in pairs]
+    masks = [r.mask for r in family]
     law("law-compose-star", n * n, all(
         lhs == rhs for lhs, rhs in _compose_star_sides(ctx, a, masks)
     ))

@@ -24,7 +24,11 @@ stay n bits apart, so `_compose_masks(stack, r, k * n, n, n)` is the
 stack of every s_i ; r with no carry from one member into the next, and
 `_pull_back_stack` pulls every member back along one endomorphism.  A
 per-member mask such as the null rows is tiled over the stack by one
-product (`_tile_mask`).
+product with `_column_bits(k, n^2)`, a bit at the start of every member,
+so the stack of the members' stars is one AND.
+Only this module builds and reads stacks: `_star_composites`, star(s_j) ; r
+for every member s_j at once, serves the audit's permutability suites and
+check-identities' law-compose-star.
 
 The public functions check their inputs on every call; callers that have
 admitted their relations already may run the mask kernels directly.
@@ -141,10 +145,8 @@ def pair_set_text(r: Relation) -> str:
 
 
 def diagonal(a: FiniteAlgebra) -> Relation:
-    mask = 0
-    for x in a.carrier:
-        mask |= 1 << (x * a.size + x)
-    return Relation(a, a, mask, compatible=True)
+    # (x, x) is bit x * (n + 1): one bit every n + 1 places
+    return Relation(a, a, _column_bits(a.size, a.size + 1), compatible=True)
 
 
 def full_relation(a: FiniteAlgebra) -> Relation:
@@ -267,12 +269,6 @@ def _stack_masks(masks: list[int], n: int) -> int:
     return stack
 
 
-def _tile_mask(mask: int, n: int, k: int) -> int:
-    """The stack of k copies of a square mask on n elements, by one
-    product with a bit at the start of every member."""
-    return mask * _column_bits(k, n * n)
-
-
 def _pull_back_stack(f: Homomorphism, stack: int, k: int) -> int:
     """The stack of f ; s_i ; f^op from a stack of k square masks s_i, for
     an endomorphism f.  Composing the stack with the graph of f^op does
@@ -281,7 +277,7 @@ def _pull_back_stack(f: Homomorphism, stack: int, k: int) -> int:
     n = f.domain.size
     _, graph_op = _graph_masks(f)
     right = _compose_masks(stack, graph_op, k * n, n, n)
-    first_rows = _tile_mask((1 << n) - 1, n, k)
+    first_rows = ((1 << n) - 1) * _column_bits(k, n * n)
     out = 0
     for x, fx in enumerate(f.map):
         out |= (right >> fx * n & first_rows) << x * n
@@ -324,6 +320,57 @@ def star(ctx: IdealContext, r: Relation) -> Relation:
     rows = _require_star_input(ctx, r)
     hint = True if r._compatible else None
     return Relation(r.source, r.source, r.mask & rows, compatible=hint)
+
+
+def _family_stacks(ctx: IdealContext, a: FiniteAlgebra, masks: list[int]):
+    """The stacks of square masks on a and of their stars, and the tiled
+    null rows."""
+    rows = _null_rows(ctx, a) * _column_bits(len(masks), a.size ** 2)
+    stack = _stack_masks(masks, a.size)
+    return stack, stack & rows, rows
+
+
+def _star_composites(ctx: IdealContext, a: FiniteAlgebra, masks: list[int]) -> Iterator[int]:
+    """For each member r of a family of square masks on a, the stack whose
+    member j is star(s_j) ; r: one composition per r covers every s_j."""
+    n, k = a.size, len(masks)
+    _, star_stack, _ = _family_stacks(ctx, a, masks)
+    for r in masks:
+        yield _compose_masks(star_stack, r, k * n, n, n)
+
+
+def _star_permute_witnesses(ctx: IdealContext, a: FiniteAlgebra, masks: list[int]):
+    """(i, j, pair), i outer, for each ordered pair of members whose
+    composites star(s_j) ; s_i and star(s_i) ; s_j differ: pair is the first
+    pair of their XOR, the witness of `checkers.check_star_permutes`."""
+    n, k = a.size, len(masks)
+    block = (1 << n * n) - 1
+    members = [
+        [stack >> j * n * n & block for j in range(k)]
+        for stack in _star_composites(ctx, a, masks)
+    ]
+    for i in range(k):
+        for j in range(k):
+            if diff := members[i][j] ^ members[j][i]:
+                yield i, j, next(_mask_pairs(diff, n))
+
+
+def _compose_star_sides(ctx: IdealContext, a: FiniteAlgebra, masks: list[int]):
+    """Per member r, the stacks of star(s_j ; r) and star(s_j) ; r: both
+    sides of law-compose-star for every s_j."""
+    n, k = a.size, len(masks)
+    stack, _, rows = _family_stacks(ctx, a, masks)
+    lhs = (_compose_masks(stack, r, k * n, n, n) & rows for r in masks)
+    return zip(lhs, _star_composites(ctx, a, masks))
+
+
+def _inverse_image_star_sides(ctx: IdealContext, a: FiniteAlgebra, endos, masks: list[int]):
+    """Per endomorphism f, the stacks of star(f^-1(s_j)) and
+    star(f^-1(star(s_j))): both sides of law-inverse-image-star."""
+    k = len(masks)
+    stack, star_stack, rows = _family_stacks(ctx, a, masks)
+    for f in endos:
+        yield _pull_back_stack(f, stack, k) & rows, _pull_back_stack(f, star_stack, k) & rows
 
 
 def star_via_pullback(ctx: IdealContext, r: Relation) -> Relation:

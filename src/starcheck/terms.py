@@ -31,8 +31,8 @@ from typing import Iterable
 from .algebra import (
     FiniteAlgebra,
     Homomorphism,
+    _checked_code,
     _compose,
-    _encode,
     _first_mismatch,
     _induced_tables,
     _kind,
@@ -129,7 +129,7 @@ class TermOperation:
             raise ValueError("syntax tree does not evaluate to the table")
 
     def __call__(self, *args: int) -> int:
-        return self.table[_encode(args, self.algebra.size)]
+        return self.table[_checked_code(args, self.arity, self.algebra.size)]
 
     @property
     def text(self) -> str:
@@ -294,6 +294,8 @@ def free_term_operations(
 ) -> FreeAlgebraModel:
     """Close the projections and constants under all basic operations; a
     budget below one table is a BudgetError."""
+    if n < 0:
+        raise ValueError("the generator count must be non-negative")
     if a.size ** n > budget:
         raise BudgetError(
             f"table length {a.size ** n} exceeds the clone budget {budget}"
@@ -335,6 +337,8 @@ def _search(
     so on FOUND the clone size counts the elements up to and including
     the last witness; otherwise it is the whole closure or the budget's
     cut.  Returns (status, {key: TermOperation}, clone size, complete)."""
+    if budget < 1:
+        raise ValueError("the clone budget must be positive")
     pending = {key: accepts for key, (accepts, _) in targets.items()}
     found: dict = {}  # key -> index of its witness
 

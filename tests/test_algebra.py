@@ -23,6 +23,17 @@ class TestParsing:
         assert bool2.apply("and", (1, 1)) == 1
         assert bool2.apply("not", (0,)) == 1
 
+    @pytest.mark.parametrize("args, message", [
+        ((1,), r"^expected 2 arguments, got 1$"),
+        ((1, 2, 3), r"^expected 2 arguments, got 3$"),
+        ((1, 4), r"^arguments \(1, 4\) out of range for size 4$"),
+        ((-1, 0), r"^arguments \(-1, 0\) out of range for size 4$"),
+    ])
+    def test_apply_rejects_bad_arguments(self, ring_z4, args, message):
+        # (1, 4) would read the cell of (2, 0), and (1,) the cell of (0, 1)
+        with pytest.raises(ValueError, match=message):
+            ring_z4.apply("add", args)
+
     def test_table_length_error(self):
         text = "algebra a\nsize 2\nop and/2 = [0 0 0]\n"
         with pytest.raises(ParseError) as exc:
@@ -200,6 +211,11 @@ class TestHomomorphisms:
     def test_search_rejects_out_of_range_inputs(self, set3, candidates, message):
         with pytest.raises(ValueError, match=message):
             sc.HomomorphismSearch(set3, set3, candidates, 100)
+
+    @pytest.mark.parametrize("node_budget", [0, -1])
+    def test_search_rejects_non_positive_node_budget(self, set3, node_budget):
+        with pytest.raises(ValueError, match=r"^node budget must be positive$"):
+            sc.HomomorphismSearch(set3, set3, {0: [0]}, node_budget)
 
     def test_constructor_rejects_non_homomorphism(self, monoid01):
         with pytest.raises(ValueError, match="commute"):

@@ -283,6 +283,23 @@ class TestAudit:
                         rel_s = sc.congruence_relation(w.second)
                         assert not sc.check_star_permutes(ctx, rel_r, rel_s).holds
 
+    def test_audit_makes_no_public_permutability_calls(self, monkeypatch, monoid01, set3):
+        # suites 1-2 read stacked composites; the public checker stays the
+        # oracle of the differential tests
+        from starcheck import checkers
+
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return sc.check_star_permutes(*args)
+
+        monkeypatch.setattr(checkers, "check_star_permutes", counting)
+        for a in (monoid01, set3):
+            report = sc.audit_algebra(sc.Pointed(0), a)
+            assert report.condition("congruence-pairs-star-permute").examined > 1
+        assert calls == []
+
     def test_set3_pointed_fails_permutability(self, set3):
         report = sc.audit_algebra(sc.Pointed(0), set3)
         assert report.condition("congruence-pairs-star-permute").verdict is Verdict.FAIL

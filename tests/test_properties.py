@@ -24,11 +24,13 @@ from starcheck.algebra import (
     _induced_tables,
     _join_partitions,
 )
-from starcheck.checkers import SymmetryWitness
+from starcheck.checkers import PermutabilityWitness, SymmetryWitness
 from starcheck.contexts import resolve_base
 from starcheck.relations import (
     _compose_masks,
+    _compose_star_sides,
     _graph_masks,
+    _inverse_image_star_sides,
     _pull_back_mask,
     _pull_back_stack,
     _stack_masks,
@@ -268,6 +270,55 @@ def test_audit_symmetry_suites_match_public_checkers(a, squared):
                 full.append(SymmetryWitness(r, fv.witness, fv.from_opposite))
         assert report.condition("reflexive-left-star-symmetric").witnesses == tuple(left)
         assert report.condition("reflexive-star-symmetric").witnesses == tuple(full)
+
+
+def public_permutability_witnesses(ctx, a):
+    """Suite 1's witnesses built from `check_star_permutes` over every
+    ordered pair of congruences, first outer, and how many it examined."""
+    congruences = sc.all_congruences(a)
+    relations = [sc.congruence_relation(c) for c in congruences]
+    witnesses = [
+        PermutabilityWitness(first, second, verdict.witness)
+        for first, r in zip(congruences, relations)
+        for second, s in zip(congruences, relations)
+        if not (verdict := sc.check_star_permutes(ctx, r, s)).holds
+    ]
+    return tuple(witnesses), len(congruences) ** 2
+
+
+def assert_permutability_suites_match_public_checker(ctx, a):
+    report = sc.audit_algebra(ctx, a)
+    expected = public_permutability_witnesses(ctx, a)
+    for key in ("congruence-pairs-star-permute", "equivalence-pairs-star-permute"):
+        cond = report.condition(key)
+        assert (cond.witnesses, cond.examined) == expected
+    return expected
+
+
+@PROPERTY_SETTINGS
+@given(mixed_algebras(), st.integers(0, 2))
+@example(load_algebra("set3"), 0)
+def test_audit_permutability_suites_match_public_checker(a, base):
+    base %= a.size
+    assert_permutability_suites_match_public_checker(sc.Total(), a)
+    assert_permutability_suites_match_public_checker(sc.ProtoPointed(), a)
+    assert_permutability_suites_match_public_checker(
+        sc.Pointed(base), with_fixed_point(a, base)
+    )
+
+
+def test_audit_permutability_suites_on_chain_lattice():
+    """The 8-element chain lattice with its bottom as the constant bot:
+    128 congruences, 5,334 of whose ordered pairs fail under pointed:bot."""
+    n = 8
+    meet = tuple(min(x, y) for x in range(n) for y in range(n))
+    join = tuple(max(x, y) for x in range(n) for y in range(n))
+    signature = sc.Signature((("bot", 0), ("meet", 2), ("join", 2)))
+    lattice = sc.FiniteAlgebra(signature, n, ((0,), meet, join), "lattice8")
+    witnesses, examined = assert_permutability_suites_match_public_checker(
+        sc.Pointed("bot"), lattice
+    )
+    assert (len(witnesses), examined) == (5334, 128 ** 2)
 
 
 @PROPERTY_SETTINGS
@@ -1185,8 +1236,8 @@ def assert_law_sides_match_public_api(a, ctx):
         (sc.star(ctx, sc.compose(s, r)).mask, sc.compose(star_s, r).mask)
         for r in family for s, star_s in pairs
     ]
-    masks = [(r.mask, star_r.mask) for r, star_r in pairs]
-    sides = list(cli._compose_star_sides(ctx, a, masks))
+    masks = [r.mask for r in family]
+    sides = list(_compose_star_sides(ctx, a, masks))
     assert len(sides) == k
     assert unstacked_cases(sides, n, k) == expected
     endos = endomorphisms(a, ctx)
@@ -1195,7 +1246,7 @@ def assert_law_sides_match_public_api(a, ctx):
          sc.star(ctx, sc.inverse_image(f, star_s)).mask)
         for f in endos for s, star_s in pairs
     ]
-    sides = list(cli._inverse_image_star_sides(ctx, a, endos, masks))
+    sides = list(_inverse_image_star_sides(ctx, a, endos, masks))
     assert len(sides) == len(endos)
     assert unstacked_cases(sides, n, k) == expected
 
@@ -1255,30 +1306,36 @@ def test_stacked_kernels_match_per_member_kernels(family):
     ("ringZ4", "proto"),
 ])
 def test_planted_star_fault_shows_in_exactly_its_case(name, context):
-    """Flip one bit of one member's star mask: only that member's cases
-    may differ, and with r the diagonal and f the identity they do, so
-    each law would read FAIL."""
+    """Flip one bit in a null row of one member's mask, so that its star
+    changes too: only the cases that read that member (as s, or as r of
+    law-compose-star) may change, and with r the diagonal and f the
+    identity both sides of its case do."""
     a, ctx = load_algebra(name), sc.parse_context(context)
     family, _ = cli._identity_family(a, ctx, cli.DEFAULT_RELATION_BUDGET)
     n, k = a.size, len(family)
-    masks = [(r.mask, sc.star(ctx, r).mask) for r in family]
+    masks = [r.mask for r in family]
     diagonal = family.index(sc.diagonal(a))
     null = min(sc.null_class(ctx, a).elements)
     identity = sc.Homomorphism(a, a, tuple(a.carrier))
     endos = [identity, *(f for f in endomorphisms(a, ctx) if f != identity)]
+
+    def cases(masks):
+        return (
+            unstacked_cases(_compose_star_sides(ctx, a, masks), n, k),
+            unstacked_cases(_inverse_image_star_sides(ctx, a, endos, masks), n, k),
+        )
+
     for j in (0, k // 2, k - 1):
-        # a bit in a null row, which the star of either side keeps
-        bit = null * n + j % n
         planted = list(masks)
-        planted[j] = (masks[j][0], masks[j][1] ^ 1 << bit)
-        for sides, first in (
-            (cli._compose_star_sides(ctx, a, planted), diagonal),
-            (cli._inverse_image_star_sides(ctx, a, endos, planted), 0),
+        planted[j] ^= 1 << null * n + j % n
+        for clean, faulty, first, reads in zip(
+            cases(masks), cases(planted), (diagonal, 0),
+            (lambda r, s: j in (r, s), lambda f, s: s == j),
         ):
-            differing = [
-                (case // k, case % k)
-                for case, (lhs, rhs) in enumerate(unstacked_cases(sides, n, k))
-                if lhs != rhs
-            ]
-            assert {i for _, i in differing} == {j}
-            assert (first, j) in differing
+            changed = {
+                divmod(case, k): (lhs != clean_lhs, rhs != clean_rhs)
+                for case, ((lhs, rhs), (clean_lhs, clean_rhs)) in enumerate(zip(faulty, clean))
+                if (lhs, rhs) != (clean_lhs, clean_rhs)
+            }
+            assert all(reads(*case) for case in changed)
+            assert changed[first, j] == (True, True)

@@ -72,6 +72,22 @@ class TestFreeModels:
         with pytest.raises(BudgetError):
             sc.free_term_operations(ring_z4, 3, budget=32)
 
+    def test_negative_generator_count_rejected(self, ring_z4):
+        with pytest.raises(ValueError, match="generator count must be non-negative"):
+            sc.free_term_operations(ring_z4, -1)
+
+    @pytest.mark.parametrize("args, message", [
+        ((1, 2), r"^expected 3 arguments, got 2$"),
+        ((1, 2, 3, 0), r"^expected 3 arguments, got 4$"),
+        ((0, 1, 2), r"^arguments \(0, 1, 2\) out of range for size 2$"),
+        ((0, -1, 1), r"^arguments \(0, -1, 1\) out of range for size 2$"),
+    ])
+    def test_term_operation_rejects_bad_arguments(self, group_z2, args, message):
+        p = sc.find_maltsev_term(group_z2).term
+        assert p(0, 1, 1) == 0
+        with pytest.raises(ValueError, match=message):
+            p(*args)
+
 
 class TestTermText:
     def test_variables_and_nesting(self):
@@ -112,6 +128,13 @@ class TestSubtractiveSearch:
             result = sc.find_e_subtractive_terms(ring_z4, budget=budget)
             assert result.status is SearchStatus.INCONCLUSIVE
             assert not result.complete and result.clone_size == clone_size
+
+    @pytest.mark.parametrize("budget", [0, -5])
+    def test_non_positive_budget_rejected(self, ring_z4, budget):
+        # a positive budget below one table is INCONCLUSIVE (above); a
+        # non-positive one is not a budget at all
+        with pytest.raises(ValueError, match="clone budget must be positive"):
+            sc.find_e_subtractive_terms(ring_z4, budget=budget)
 
     def test_identities_hold_pointwise(self, bool4, ring_z2xz2):
         for a in (bool4, ring_z2xz2):
@@ -192,6 +215,11 @@ class TestMaltsevSearch:
         result = sc.find_maltsev_term(monoid01)
         assert result.status is SearchStatus.ABSENT
         assert result.clone_size == 8
+
+    @pytest.mark.parametrize("budget", [0, -5])
+    def test_non_positive_budget_rejected(self, group_z2, budget):
+        with pytest.raises(ValueError, match="clone budget must be positive"):
+            sc.find_maltsev_term(group_z2, budget=budget)
 
     def test_size_one_projection_qualifies(self, set1):
         result = sc.find_maltsev_term(set1)
