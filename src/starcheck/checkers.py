@@ -357,11 +357,11 @@ def audit_algebra(
             full_witnesses.append(SymmetryWitness(r, next(_mask_pairs(right, n)), True))
 
     note = "enumeration truncated by budget" if enum.truncated else ""
+    passed = Verdict.INCONCLUSIVE if enum.truncated else Verdict.PASS
     for key, found in (
         ("reflexive-left-star-symmetric", left_witnesses),
         ("reflexive-star-symmetric", full_witnesses),
     ):
-        passed = Verdict.INCONCLUSIVE if enum.truncated else Verdict.PASS
         verdict = Verdict.FAIL if found else passed
         conditions.append(
             ConditionOutcome(key, verdict, len(enum.relations), tuple(found), note=note)
