@@ -31,6 +31,7 @@ parser, built only then.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 from dataclasses import dataclass
@@ -361,14 +362,15 @@ def _identity_family(a: FiniteAlgebra, ctx: IdealContext, budget: int):
     its family is never truncated.  Any other algebra quantifies over its
     reflexive compatible relations (every congruence among them) with
     their opposites and stars; only a truncated enumeration adds the
-    congruence lattice as well."""
+    congruence lattice as well, if the lattice is within its size budget."""
     if a.signature.is_empty and a.size <= 3:
         masks = range(1 << (a.size * a.size))
         return [Relation(a, a, m) for m in masks], None
     enum = enumerate_reflexive_compatible(a, budget=budget)
     family = set(enum.relations)
     if enum.truncated:  # a complete enumeration holds every congruence
-        family.update(congruence_relation(c) for c in all_congruences(a))
+        with contextlib.suppress(BudgetError):  # truncated either way
+            family.update(congruence_relation(c) for c in all_congruences(a))
     for r in list(family):
         family.add(opposite(r))
         family.add(star(ctx, r))

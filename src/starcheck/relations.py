@@ -330,13 +330,12 @@ def _family_stacks(ctx: IdealContext, a: FiniteAlgebra, masks: list[int]):
     return stack, stack & rows, rows
 
 
-def _star_composites(ctx: IdealContext, a: FiniteAlgebra, masks: list[int]) -> Iterator[int]:
-    """For each member r of a family of square masks on a, the stack whose
-    member j is star(s_j) ; r: one composition per r covers every s_j."""
-    n, k = a.size, len(masks)
-    _, star_stack, _ = _family_stacks(ctx, a, masks)
+def _star_composites(star_stack: int, masks: list[int], n: int) -> Iterator[int]:
+    """For each member r of a family of square masks on n elements, given
+    the stack of the members' stars, the stack whose member j is
+    star(s_j) ; r: one composition per r covers every s_j."""
     for r in masks:
-        yield _compose_masks(star_stack, r, k * n, n, n)
+        yield _compose_masks(star_stack, r, len(masks) * n, n, n)
 
 
 def _star_permute_witnesses(ctx: IdealContext, a: FiniteAlgebra, masks: list[int]):
@@ -345,9 +344,10 @@ def _star_permute_witnesses(ctx: IdealContext, a: FiniteAlgebra, masks: list[int
     pair of their XOR, the witness of `checkers.check_star_permutes`."""
     n, k = a.size, len(masks)
     block = (1 << n * n) - 1
+    _, star_stack, _ = _family_stacks(ctx, a, masks)
     members = [
         [stack >> j * n * n & block for j in range(k)]
-        for stack in _star_composites(ctx, a, masks)
+        for stack in _star_composites(star_stack, masks, n)
     ]
     for i in range(k):
         for j in range(k):
@@ -359,9 +359,9 @@ def _compose_star_sides(ctx: IdealContext, a: FiniteAlgebra, masks: list[int]):
     """Per member r, the stacks of star(s_j ; r) and star(s_j) ; r: both
     sides of law-compose-star for every s_j."""
     n, k = a.size, len(masks)
-    stack, _, rows = _family_stacks(ctx, a, masks)
+    stack, star_stack, rows = _family_stacks(ctx, a, masks)
     lhs = (_compose_masks(stack, r, k * n, n, n) & rows for r in masks)
-    return zip(lhs, _star_composites(ctx, a, masks))
+    return zip(lhs, _star_composites(star_stack, masks, n))
 
 
 def _inverse_image_star_sides(ctx: IdealContext, a: FiniteAlgebra, endos, masks: list[int]):

@@ -181,7 +181,7 @@ class FreeAlgebraModel:
         return FiniteAlgebra(self.base.signature, len(self), tables, name)
 
 
-# byte width of a pool cell: its native memoryview format
+# byte width of a packed table cell: its native memoryview format
 _CELL_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
@@ -204,14 +204,16 @@ def _clone_closure(a: FiniteAlgebra, n: int, budget: int, settled=None):
     the previous round added, else only those elements.  That is exactly a
     scan of every tuple over the snapshot that skips the all-old ones.
 
-    Kernel: every element's table lies packed in ``pool``, ``width`` bytes
-    per cell, where ``width`` holds every operation's table index.  A
-    batch's table indexes are one big-int multiply-add, the prefix's
+    Kernel: one insertion-ordered dict maps each element's table, packed
+    ``width`` bytes per cell (enough for every operation's table index),
+    to its term: the dedup set, the generation order and the term store.
+    A batch's table indexes are one big-int multiply-add, the prefix's
     index cells (repeated once per batch member) times the carrier size
     plus the batch's cells, with no carry between cells; its values are
-    one lookup over those index bytes, cut into element keys.  A key
-    already seen costs a bytes slice and a set probe; only a key that is
-    inserted gets its term and its tuple table."""
+    one lookup over those index bytes, cut into keys.  A key already seen
+    costs a bytes slice and a dict probe.  Tables stay packed: ``settled``
+    and the returned elements read them as memoryviews cast to the cell
+    width, read-only sequences of ints."""
     size = a.size
     tab_len = size ** n
     max_elements = budget // tab_len
@@ -219,7 +221,7 @@ def _clone_closure(a: FiniteAlgebra, n: int, budget: int, settled=None):
     width, code = next(
         (w, c) for w, c in _CELL_CODES.items() if cells <= 256 ** w
     )
-    step = tab_len * width  # bytes per element in the pool
+    step = tab_len * width  # bytes per packed table
     order = sys.byteorder
 
     # a 1-byte cell reads its value with bytes.translate on a 256-byte
@@ -230,19 +232,17 @@ def _clone_closure(a: FiniteAlgebra, n: int, budget: int, settled=None):
         for sym, arity, table in a.operations() if arity > 0
     ]
 
-    elements: list[tuple[tuple[int, ...], Term]] = []
-    keys: set[bytes] = set()
-    pool = bytearray()
+    clone: dict[bytes, Term] = {}
 
     def insert(key: bytes, term: Term) -> bool:
-        # key is not in keys; true when the closure stops here
-        if len(elements) >= max_elements:
+        # key is not in clone; true when the closure stops here
+        if len(clone) >= max_elements:
             return True
-        keys.add(key)
-        pool.extend(key)
-        table = tuple(memoryview(key).cast(code))
-        elements.append((table, term))
-        return settled is not None and settled(len(elements) - 1, table)
+        clone[key] = term
+        return settled is not None and settled(len(clone) - 1, memoryview(key).cast(code))
+
+    def result(complete: bool):
+        return [(memoryview(key).cast(code), term) for key, term in clone.items()], complete
 
     seeds = [(proj, Var(i)) for i, proj in enumerate(_projections(size, n))]
     seeds += [
@@ -251,25 +251,21 @@ def _clone_closure(a: FiniteAlgebra, n: int, budget: int, settled=None):
     ]
     for table, term in seeds:
         key = b"".join(v.to_bytes(width, order) for v in table)
-        if key not in keys and insert(key, term):
-            return elements, False
+        if key not in clone and insert(key, term):
+            return result(False)
 
     frontier = 0
     while True:
-        snapshot = len(elements)
-        with memoryview(pool) as view:
-            runs = {
-                lo: int.from_bytes(view[lo * step:snapshot * step], order)
-                for lo in {0, frontier}
-            }
+        keys = list(clone)
+        snapshot = len(keys)
+        runs = {lo: int.from_bytes(b"".join(keys[lo:]), order) for lo in {0, frontier}}
         for sym, arity, table in positive:
             for prefix in itertools.product(range(snapshot), repeat=arity - 1):
                 lo = frontier if all(c < frontier for c in prefix) else 0
                 count = snapshot - lo
                 head = 0
                 for c in prefix:
-                    packed = pool[c * step:(c + 1) * step]
-                    head = head * size + int.from_bytes(packed, order)
+                    head = head * size + int.from_bytes(keys[c], order)
                 heads = int.from_bytes(head.to_bytes(step, order) * count, order)
                 indexes = (heads * size + runs[lo]).to_bytes(count * step, order)
                 if width == 1:
@@ -277,15 +273,15 @@ def _clone_closure(a: FiniteAlgebra, n: int, budget: int, settled=None):
                 else:
                     wide = memoryview(indexes).cast(code)
                     values = b"".join(map(table.__getitem__, wide))
-                prefix_terms = tuple(elements[c][1] for c in prefix)
+                prefix_terms = tuple(clone[keys[c]] for c in prefix)
                 for last, start in enumerate(range(0, count * step, step), lo):
                     key = values[start:start + step]
-                    if key not in keys and insert(
-                        key, App(sym, (*prefix_terms, elements[last][1]))
+                    if key not in clone and insert(
+                        key, App(sym, (*prefix_terms, clone[keys[last]]))
                     ):
-                        return elements, False
-        if len(elements) == snapshot:
-            return elements, True
+                        return result(False)
+        if len(clone) == snapshot:
+            return result(True)
         frontier = snapshot
 
 
@@ -300,7 +296,8 @@ def free_term_operations(
         raise BudgetError(
             f"table length {a.size ** n} exceeds the clone budget {budget}"
         )
-    return FreeAlgebraModel(a, n, *_clone_closure(a, n, budget))
+    elements, complete = _clone_closure(a, n, budget)
+    return FreeAlgebraModel(a, n, ((tuple(t), term) for t, term in elements), complete)
 
 
 def _certify(a, arity, table, term, identities, symbol) -> TermOperation:
@@ -308,7 +305,7 @@ def _certify(a, arity, table, term, identities, symbol) -> TermOperation:
     table and its identities hold on the whole carrier; a failure is a
     fault in the search, not in the input."""
     try:
-        op = TermOperation(a, arity, table, term)
+        op = TermOperation(a, arity, tuple(table), term)
     except ValueError as exc:
         raise RuntimeError(f"witness {term_text(term)}: {exc}") from None
     verdict = verify_term_identities(op, identities, symbol)
@@ -342,7 +339,7 @@ def _search(
     pending = {key: accepts for key, (accepts, _) in targets.items()}
     found: dict = {}  # key -> index of its witness
 
-    def settled(index: int, table: tuple[int, ...]) -> bool:
+    def settled(index: int, table) -> bool:
         key = key_of(table)
         accepts = pending.get(key)
         if accepts is not None and accepts(table):

@@ -376,6 +376,23 @@ class TestEndomorphismLaws:
         assert all(verdict == "PASS" for verdict, _ in laws.values())
         assert code == 0
 
+    def test_ringZ9_truncated_family_skips_the_lattice(self, tmp_path):
+        # a truncated family would add the congruence lattice, which is
+        # over its size cap on 9 elements; the report keeps its header
+        path = tmp_path / "z9.alg"
+        path.write_text(cyclic_text(9, ring=True))
+        code, out = run_cli(["check-identities", "--algebra", str(path),
+                             "--context", "proto", "--max-relations", "2", "--machine"])
+        lines = out.splitlines()
+        assert lines[:2] == [
+            "RUN command=check-identities algebra=ringZ9 context=proto",
+            "WARN relation-budget=2/2 family=truncated",
+        ]
+        checks = [line for line in lines if line.startswith("CHECK ")]
+        assert len(checks) == 5
+        assert all(" PASS " in line and line.endswith(" note=truncated") for line in checks)
+        assert code == 3
+
     def test_spent_node_budget_is_inconclusive(self, tmp_path, monkeypatch):
         from starcheck import cli
 

@@ -505,8 +505,13 @@ def test_clone_rounds_match_reference(a, n, max_elements):
     tab_len = a.size**n
 
     def closure(budget):
-        elements, complete = _clone_closure(a, n, budget)
-        return [(table, term_text(term)) for table, term in elements], complete
+        # settled sees each table as inserted: the returned one, in order
+        calls = []
+        elements, complete = _clone_closure(
+            a, n, budget, lambda index, table: calls.append((index, list(table)))
+        )
+        assert calls == [(index, list(table)) for index, (table, _) in enumerate(elements)]
+        return [(tuple(table), term_text(term)) for table, term in elements], complete
 
     *earlier, (elements, complete, _) = reference_clone_rounds(a, n, max_elements * tab_len)
     assert closure(max_elements * tab_len) == (elements, complete)
@@ -1225,10 +1230,13 @@ def unstacked_cases(stacked_sides, n, k):
     ]
 
 
-def assert_law_sides_match_public_api(a, ctx):
+def assert_law_sides_match_public_api(a, ctx, reverse=False):
     """Each case of the stacked law kernels of check-identities equals the
-    same case built from the public star, compose and inverse_image."""
+    same case built from the public star, compose and inverse_image, over
+    the family in its own order or reversed."""
     family, _ = cli._identity_family(a, ctx, cli.DEFAULT_RELATION_BUDGET)
+    if reverse:
+        family.reverse()
     stars = [sc.star(ctx, r) for r in family]
     pairs = list(zip(family, stars))
     n, k = a.size, len(family)
@@ -1251,12 +1259,21 @@ def assert_law_sides_match_public_api(a, ctx):
     assert unstacked_cases(sides, n, k) == expected
 
 
-@pytest.mark.parametrize("name,context", [
+LAW_CORPUS = (
     ("set2", "total"), ("set2", "pointed:0"), ("bool2", "proto"),
     ("groupZ2", "pointed:e"), ("monoid01", "pointed:0"),
+)
+
+
+# the family is sorted by mask, so its member 0 is the empty relation;
+# reversed, member 0 is the largest, and a leak of member 0 into the
+# other members of a stack shows
+@pytest.mark.parametrize("name,context,reverse", [
+    pytest.param(name, context, reverse, id=f"{name}-{context}" + "-reversed" * reverse)
+    for reverse in (False, True) for name, context in LAW_CORPUS
 ])
-def test_law_kernels_match_public_api_on_corpus_families(name, context):
-    assert_law_sides_match_public_api(load_algebra(name), sc.parse_context(context))
+def test_law_kernels_match_public_api_on_corpus_families(name, context, reverse):
+    assert_law_sides_match_public_api(load_algebra(name), sc.parse_context(context), reverse)
 
 
 @PROPERTY_SETTINGS
