@@ -26,10 +26,12 @@ Times, each call in full, with `time.perf_counter`:
   from ringZ4^2's own (`algebra._closure_rows(square=True)`; a checkout
   without it cuts them from the built square),
   `enumerate_reflexive_compatible` on ringZ4^2 (mostly principal
-  closures) and on monoid01^2 (306 relations, mostly join closures), and
-  `audit_algebra` on ringZ4^2 under proto and on monoid01^2 under
-  pointed:zero, each with a congruence budget of 16 (power, enumeration
-  and the congruence lattice, as perfbench's squares workload audits),
+  closures), on monoid01^2 (306 relations, mostly join closures) and on
+  heyt2^2 (commutative and non-commutative operations side by side), and
+  `audit_algebra` on ringZ4^2 and ringZ3^2 under proto and on monoid01^2
+  under pointed:zero, each with a congruence budget of 16 (power,
+  enumeration and the congruence lattice, as perfbench's squares workload
+  audits),
   the audit's permutability suites 1-2 alone on ringZ4^2's 9 congruences
   under proto (`relations._star_permute_witnesses`; a checkout without it
   runs `check_star_permutes` on every ordered pair, as its audit did),
@@ -306,7 +308,7 @@ def cases(sc, tmp: pathlib.Path):
         enum = sc.enumerate_reflexive_compatible(square)
         return f"relations={len(enum.relations)} truncated={enum.truncated}"
 
-    def audit():
+    def audit(square=square):
         report = sc.audit_algebra(sc.ProtoPointed(), square, congruence_size_budget=16)
         return " ".join(f"{c.verdict.value}/{c.examined}" for c in report.conditions)
 
@@ -338,6 +340,8 @@ def cases(sc, tmp: pathlib.Path):
     out.append(("square rows ringZ4^2", square_rows))
     out.append(("enumerate_reflexive_compatible ringZ4^2", enumeration))
     out.append(("audit_algebra ringZ4^2 proto", audit))
+    ring3_square = sc.direct_power(sc.parse_algebra(ring_text(3)), 2)
+    out.append(("audit_algebra ringZ3^2 proto", lambda: audit(ring3_square)))
     out.append(("audit suites 1-2 ringZ4^2 proto", permutability))
     out.append(("audit_algebra lattice8 pointed:bot", lattice_audit))
 
@@ -360,6 +364,9 @@ def cases(sc, tmp: pathlib.Path):
     relations = sc.enumerate_reflexive_compatible(monoid_square).relations
     out.append(("enumerate_reflexive_compatible monoid01^2",
                 lambda: enumeration(monoid_square)))
+    heyting_square = sc.direct_power(algebras["heyt2"], 2)
+    out.append(("enumerate_reflexive_compatible heyt2^2",
+                lambda: enumeration(heyting_square)))
 
     def monoid_audit():
         report = sc.audit_algebra(

@@ -454,6 +454,8 @@ def _closure_rows(a: FiniteAlgebra, square: bool = False) -> tuple:
     constants' values, the plan of a round, a batch's gatherer and the
     joiner of its gathered rows."""
     size, operations = a.size, _operation_rows(a)
+    # a commutative f(x, y) needs no (old, new) step; a's square commutes iff a does
+    steps = [1 if k == 2 and list(zip(*r)) == r else k for k, r in operations]
     if square:
         operations = [(k, _product_rows(rows, rows, size, size, k)) for k, rows in operations]
         size *= size
@@ -475,9 +477,9 @@ def _closure_rows(a: FiniteAlgebra, square: bool = False) -> tuple:
             return itemgetter(batch[0], *batch)
     constants = tuple(rows[0][0] for arity, rows in operations if not arity)
     plan = []
-    for arity, rows in operations:
+    for (arity, rows), positions in zip(operations, steps):
         rows = tuple(map(cut, rows))
-        for i in range(arity):
+        for i in range(positions):
             kinds = (_OLD,) * i + (_NEW,) + (_ALL,) * (arity - 1 - i)
             plan.append((rows.__getitem__, kinds[:-1], kinds[-1]))
     return size, constants, tuple(plan), gatherer, joiner
@@ -495,20 +497,22 @@ def _closure_rounds(
     contain an element added in the previous round: the first such
     position ranges over the new elements, earlier positions over the old
     ones and later positions over all of them, so every tuple is applied
-    once and tuples inside `closed` never are.
+    at most once and tuples inside `closed` never are.  A commutative
+    binary operation skips (old, new), whose values (new, old) give.
 
     Row layout (`_closure_rows`): row c of an operation is the slice
     c·n..(c+1)·n of its flat table, its values at the argument prefix (all
     arguments but the last) with lexicographic code c.  The plan holds one
-    step per operation and argument position: the row getter and the kinds
-    of the prefix's choices and of the last argument's.  A step's tuples
-    that share a prefix read one row at the step's batch of last
-    arguments, one gather at C level: on at most 256 points a row is a
-    256-byte table and the gather ``bytes(batch).translate(row)``, on more
-    a row is a tuple and the gather an ``itemgetter``.  On bytes, the
-    joiner of a step's gathers also deletes the values already seen, most
-    of them, with one ``translate``.  Rounds are sets, so what a round
-    adds does not depend on the order of the gathers."""
+    step per operation and argument position, one for a commutative binary
+    operation: the row getter and the kinds of the prefix's choices and of
+    the last argument's.  A step's tuples that share a prefix read one row
+    at the step's batch of last arguments, one gather at C level: on at
+    most 256 points a row is a 256-byte table and the gather
+    ``bytes(batch).translate(row)``, on more a row is a tuple and the
+    gather an ``itemgetter``.  On bytes, the joiner of a step's gathers
+    also deletes the values already seen, most of them, with one
+    ``translate``.  Rounds are sets, so what a round adds does not depend
+    on the order of the gathers."""
     size, constants, plan, gatherer, joiner = rows
     fresh = set(seed)
     fresh.update(constants)

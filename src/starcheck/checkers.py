@@ -219,7 +219,9 @@ def enumerate_reflexive_compatible(
     Pairs are closed in increasing order, and a closure stops at the first
     generated x whose principal is known and contains p: x in P_p gives
     P_x <= P_p and p in P_x gives P_p <= P_x, so P_p = P_x.  Equal unions
-    R | P, as masks, are closed once.
+    R | P, as masks, are closed once.  The masks of the diagonal and of
+    the principals are summed from per-point bits; a join's mask is R | P
+    plus the bits of what its closure adds after its first round, P - R.
 
     The diagonal, the principals and the joins run the closure kernel
     `algebra._closure_rounds` directly, on the square's rows, which
@@ -239,10 +241,10 @@ def enumerate_reflexive_compatible(
             principal_of[p] = _principal(rows, diag, p, principal_of)
     found: list[tuple[frozenset[int], int]] = []
     seen: set[int] = set()  # the masks found, and the unions already closed
+    bit = [1 << q for q in range(a.size * a.size)].__getitem__
 
-    def admit(r: frozenset[int]) -> bool:
-        """Record r if new; False when that would exceed the budget."""
-        mask = sum(1 << q for q in r)
+    def admit(r: frozenset[int], mask: int) -> bool:
+        """Record r with its mask if new; False when that would exceed the budget."""
         if mask in seen:
             return True
         if len(found) >= budget:
@@ -251,8 +253,8 @@ def enumerate_reflexive_compatible(
         found.append((r, mask))
         return True
 
-    admit(diag)
-    truncated = not all(admit(p) for p in dict.fromkeys(principal_of.values()))
+    admit(diag, sum(map(bit, diag)))
+    truncated = not all(admit(p, sum(map(bit, p))) for p in dict.fromkeys(principal_of.values()))
     principals = found[1:]  # all of them, unless truncated
     i = 1  # D v P = P, so joins start from the principals
     while not truncated and i < len(found):
@@ -263,7 +265,9 @@ def enumerate_reflexive_compatible(
             # a union closed before has its join found
             if (union := r_mask | p_mask) == r_mask or union in seen:
                 continue
-            if not admit(r.union(*_closure_rounds(rows, p - r, r))):
+            # the first round is p - r, inside union; the rounds are disjoint
+            first, *later = _closure_rounds(rows, p - r, r)
+            if not admit(r.union(first, *later), union | sum(map(bit, set().union(*later)))):
                 truncated = True
                 break
             seen.add(union)

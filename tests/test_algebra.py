@@ -4,6 +4,7 @@ import random
 import pytest
 
 import starcheck as sc
+from starcheck.algebra import _closure_rows
 from starcheck.errors import BudgetError, ParseError
 
 from conftest import (
@@ -168,6 +169,18 @@ class TestClosure:
         assert sc.constants_subalgebra(monoid01) == frozenset({0})
         assert sc.constants_subalgebra(bool4) == frozenset({0, 3})
         assert sc.constants_subalgebra(ring_z4) == frozenset({0, 1, 2, 3})
+
+    @pytest.mark.parametrize("square", [False, True])
+    @pytest.mark.parametrize(
+        "name, steps",
+        [("monoid01", (1,)), ("heyt2", (1, 1, 2)), ("ringZ4", (1, 1, 1))],
+    )
+    def test_plan_applies_commutative_operations_once_per_pair(self, name, steps, square):
+        # steps per non-constant operation: max; and, or, imp (the only
+        # one that does not commute); add, mul, neg
+        _, _, plan, _, _ = _closure_rows(load_algebra(name), square=square)
+        per_operation = itertools.groupby(plan, key=lambda step: id(step[0].__self__))
+        assert tuple(len(list(group)) for _, group in per_operation) == steps
 
 
 class TestHomomorphisms:
