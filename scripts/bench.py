@@ -54,9 +54,11 @@ Times, each call in full, with `time.perf_counter`:
   its verdict is the exit code and the sha256 of the report;
 - `star_via_pullback` on every member of the family check-identities
   builds (`cli._identity_family`) for the 4-element chain lattice under
-  pointed:bot (200 relations) and for ringZ9 under proto, and the
-  `Homomorphism` construction of the identity of ringZ9 (law-star-pullback:
-  induced pair algebras and commutation checks);
+  pointed:bot (200 relations) and for ringZ9 under proto, the whole
+  `check-identities` command through `starcheck.cli.main` on the same two
+  inputs, and the `Homomorphism` construction of the identity of ringZ9
+  (law-star-pullback: the square's first projection, validated once per
+  context and algebra, and each member's closure in the square);
 - `congruences` on ringZ4 through `starcheck.cli.main`, a command whose
   algebra costs less than building its parser (the CLI's fixed cost per
   command); its verdict is the exit code and the sha256 of the report;
@@ -441,6 +443,10 @@ def cases(sc, tmp: pathlib.Path):
             return f"relations={len(members)} pairs={pairs}"
 
         out.append((f"star_via_pullback {a.name} {context} family", pullback))
+        path = tmp / f"{a.name}.alg"
+        path.write_text(sc.serialize_algebra(a))
+        out.append((f"check-identities {a.name} {context}",
+                    lambda path=path, context=context: check_identities(path, context)))
 
     def identity_ring9():
         return f"image={len(sc.Homomorphism(ring9, ring9, tuple(ring9.carrier)).image)}"

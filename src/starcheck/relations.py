@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from operator import add
 from typing import Iterable, Iterator
 
-from .algebra import Congruence, FiniteAlgebra, Homomorphism, _induced_tables, _product_values
+from .algebra import Congruence, FiniteAlgebra, Homomorphism, _product_values, direct_power
 from .contexts import IdealContext, _null_elements, n_kernel
 
 
@@ -304,6 +304,16 @@ def _null_rows(ctx: IdealContext, a: FiniteAlgebra) -> int:
     return sum(row << (x * a.size) for x in _null_elements(ctx, a))
 
 
+@functools.lru_cache(maxsize=None)
+def _square_kernel(ctx: IdealContext, a: FiniteAlgebra) -> tuple[FiniteAlgebra, frozenset[int]]:
+    """The square of a, pair (x, y) at code x * n + y as in a mask, and the
+    n-kernel of its first projection, validated once as a homomorphism.
+    Its budget is its own size, so the route caps no carrier."""
+    square = direct_power(a, 2, budget=a.size ** 2)
+    first = Homomorphism(square, a, tuple(c // a.size for c in square.carrier))
+    return square, n_kernel(ctx, first)
+
+
 def _require_star_input(ctx: IdealContext, r: Relation) -> int:
     """The null-row mask of r's carrier, once r is known to be a valid star
     input; an inadmissible context raises ContextError first."""
@@ -374,23 +384,23 @@ def _inverse_image_star_sides(ctx: IdealContext, a: FiniteAlgebra, endos, masks:
 
 
 def star_via_pullback(ctx: IdealContext, r: Relation) -> Relation:
-    """Same pair set as star, computed by the independent route: view the
-    pair set as an algebra, take the kernel of its first projection under
-    the context, and map the kernel forward."""
+    """Same pair set as star, computed by the independent route: the
+    n-kernel of r's first leg r0 : r -> X, which by the pasting lemma is
+    the pullback along r's inclusion into X^2 of the n-kernel of the
+    square's first projection (`_square_kernel`).  Each r is re-certified
+    a subuniverse of the square, one `_product_values` pass per operation
+    over the square's table at r's pair codes, and a failure raises
+    RuntimeError; then r's codes are cut down to the kernel."""
     _require_star_input(ctx, r)
-    x = r.source
-    ps = list(r.pairs())
-    if not ps:
-        return Relation(x, x, 0, compatible=r._compatible)
-    pair_algebra = FiniteAlgebra(x.signature, len(ps), _induced_tables(x, ps))
-    r0 = Homomorphism(pair_algebra, x, tuple(p[0] for p in ps))
-    kernel = n_kernel(ctx, r0)
-    mask = 0
-    for i in kernel:
-        a, b = ps[i]
-        mask |= 1 << (a * x.size + b)
+    n = r.source.size
+    square, kernel = _square_kernel(ctx, r.source)
+    codes = [a * n + b for a, b in r.pairs()]
+    closed = set(codes)
+    for sym, arity, table in square.operations():
+        if not closed.issuperset(_product_values(table, square.size, codes, arity)):
+            raise RuntimeError(f"pair set certified compatible is not closed under {sym}")
     hint = True if r._compatible else None
-    return Relation(x, x, mask, compatible=hint)
+    return Relation(r.source, r.source, sum(1 << c for c in closed & kernel), compatible=hint)
 
 
 def star_kernel(ctx: IdealContext, f: Homomorphism) -> Relation:

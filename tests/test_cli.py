@@ -409,6 +409,52 @@ class TestEndomorphismLaws:
         assert code == 3
 
 
+class TestStarPullbackLaw:
+    """law-star-pullback compares star with the pullback route."""
+
+    def test_law_fails_when_star_drops_a_null_row(self, monkeypatch):
+        from starcheck import relations
+
+        null_rows = relations._null_rows
+
+        def dropping(ctx, a):
+            rows = null_rows(ctx, a)
+            first = ((rows & -rows).bit_length() - 1) // a.size
+            return rows & ~((1 << a.size) - 1 << first * a.size)
+
+        monkeypatch.setattr(relations, "_null_rows", dropping)
+        code, out = run_cli(["check-identities", "--algebra", "corpus/set2.alg",
+                             "--context", "pointed:0", "--machine"])
+        assert "CHECK law-star-pullback FAIL cases=16" in out.splitlines()
+        assert code == 1
+
+    def test_first_projection_is_validated_once(self, tmp_path, monkeypatch):
+        # the square's first projection is checked once per (context,
+        # algebra), not once per member of the family
+        from starcheck import relations
+
+        n = 4
+        path = tmp_path / "lattice4.alg"
+        path.write_text(
+            f"algebra lattice4\nsize {n}\nconst bot = 0\n"
+            f"op meet/2 = [{' '.join(str(min(a, b)) for a in range(n) for b in range(n))}]\n"
+            f"op join/2 = [{' '.join(str(max(a, b)) for a in range(n) for b in range(n))}]\n"
+        )
+        validated = []
+
+        def counting(*args):
+            validated.append(args)
+            return sc.Homomorphism(*args)
+
+        monkeypatch.setattr(relations, "Homomorphism", counting)
+        relations._square_kernel.cache_clear()
+        code, out = run_cli(["check-identities", "--algebra", str(path),
+                             "--context", "pointed:bot", "--machine"])
+        assert law_cases(out)["law-star-pullback"] == ("PASS", 200)
+        assert [(d.size, c.size) for d, c, _ in validated] == [(n * n, n)]
+        assert code == 0
+
+
 class TestHumanReports:
     @pytest.mark.parametrize("algebra,flags,code,tail", [
         ("groupZ2", [], 0, ["  maltsev term: mul(x, mul(y, z))",

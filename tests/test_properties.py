@@ -397,14 +397,17 @@ def reference_closure_rounds(a, seed, closed):
 @PROPERTY_SETTINGS
 @given(mixed_algebras(), st.integers(1, 2), st.data())
 def test_closure_rounds_match_product_loop(a, power, data):
-    # arities 0 to 3, on the algebra and on its square (up to 9 points)
+    # arities 0 to 3, on the algebra and on its square (up to 9 points).
+    # Every point outside `closed` seeds a closure, since random seeds
+    # mostly lie in it or close in one round
     b = sc.direct_power(a, power)
     subsets = st.frozensets(st.integers(0, b.size - 1), max_size=3)
     closed = sc.subalgebra_closure(b, data.draw(subsets))
-    seed = set(data.draw(subsets))
-    rounds = list(_closure_rounds(_closure_rows(b), seed, closed))
-    assert rounds == list(reference_closure_rounds(b, seed, closed))
-    assert closed.union(*rounds) == naive_closure(b, closed | seed)
+    rows = _closure_rows(b)
+    for p in sorted(set(range(b.size)) - closed):
+        rounds = list(_closure_rounds(rows, {p}, closed))
+        assert rounds == list(reference_closure_rounds(b, {p}, closed))
+        assert closed.union(*rounds) == naive_closure(b, closed | {p})
 
 
 @PROPERTY_SETTINGS
@@ -1025,8 +1028,7 @@ def image_of_other_points(a, points):
 @given(mixed_algebras())
 def test_pair_algebra_tables_match_product_loop(a):
     # a reflexive compatible relation is a subalgebra of the square, so its
-    # pairs are a closed list of 2-coordinate points, as star_via_pullback
-    # induces them
+    # pairs are a closed list of 2-coordinate points
     for r in sc.enumerate_reflexive_compatible(a).relations:
         points = list(r.pairs())
         assert _induced_tables(a, points) == product_loop_tables(a, points)

@@ -190,6 +190,23 @@ class TestStarViaPullback:
         d = sc.diagonal(set3)
         assert set(sc.star_via_pullback(sc.Pointed(0), d).pairs()) == {(0, 0)}
 
+    def test_more_than_64_elements(self):
+        # the route builds the square of the carrier; no power budget may
+        # cap it below the 65^2 pairs of this monounary algebra
+        signature = sc.Signature((("c", 0), ("f", 1)))
+        a = sc.FiniteAlgebra(signature, 65, ((0,), tuple(x // 2 for x in range(65))))
+        for ctx in (sc.Total(), sc.Pointed(0), sc.ProtoPointed()):
+            for r in (sc.diagonal(a), sc.full_relation(a)):
+                assert sc.star_via_pullback(ctx, r) == sc.star(ctx, r)
+
+    def test_unclosed_pair_set_certified_compatible_raises(self, ring_z4):
+        # (1,1) + (1,1) = (2,2) is missing: a false certificate is a fault,
+        # never a mask
+        r = sc.Relation.from_pairs(ring_z4, ring_z4, [(0, 0), (1, 1)])
+        r = sc.Relation(ring_z4, ring_z4, r.mask, compatible=True)
+        with pytest.raises(RuntimeError, match="not closed under add"):
+            sc.star_via_pullback(sc.ProtoPointed(), r)
+
 
 class TestStarKernel:
     def test_total_collapses_to_kernel_pair(self, set3, set2):
