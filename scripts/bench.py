@@ -11,20 +11,19 @@ Times, each call in full, with `time.perf_counter`:
 - `all_congruences` on the squares of ringZ4 and bool4, the 8-element
   chain lattice (128 congruences) and the bare 7-element set (877), the
   last two dominated by joins (congruence lattice);
-- `substitution_graph` of ringZ2 at 0, which builds both free models and
-  a term operation per element (free-model layer), and the graph route
-  (`substitution_graph`, then `graph_left_star_symmetric`) of ringZ3 and
-  ringZ4 at 0, whose free models do not fit the clone budget; each of
-  these two runs under a LIMIT_S-second interval timer in the child, and
-  its verdict reads `stopped` when the timer ran out (`raised <error>`
-  when the call raised);
+- `substitution_graph` of ringZ2 at 0, which builds both free models,
+  their induced algebras and the three legs (free-model layer), and the
+  graph route (`substitution_graph`, then `graph_left_star_symmetric`)
+  of ringZ3 and ringZ4 at 0, whose free models do not fit the clone
+  budget; each of these two runs under a LIMIT_S-second interval timer
+  in the child, and its verdict reads `stopped` when the timer ran out
+  (`raised <error>` when the call raised);
 - the endomorphisms that check-identities quantifies over, on the
   6-element group Z6, and `graph_left_star_symmetric` on the substitution
   graph of ringZ2 at 0 (homomorphism search);
 - `direct_power(ringZ4^2, 2)`, the 256-point square whose closure rows
   enumeration once cut, and those rows as enumeration now builds them
-  from ringZ4^2's own (`algebra._closure_rows(square=True)`; a checkout
-  without it cuts them from the built square),
+  from ringZ4^2's own (`algebra._closure_rows(square=True)`),
   `enumerate_reflexive_compatible` on ringZ4^2 (mostly principal
   closures), on monoid01^2 (306 relations, mostly join closures) and on
   heyt2^2 (commutative and non-commutative operations side by side), and
@@ -33,8 +32,7 @@ Times, each call in full, with `time.perf_counter`:
   enumeration and the congruence lattice, as perfbench's squares workload
   audits),
   the audit's permutability suites 1-2 alone on ringZ4^2's 9 congruences
-  under proto (`relations._star_permute_witnesses`; a checkout without it
-  runs `check_star_permutes` on every ordered pair, as its audit did),
+  under proto (`relations._star_permute_witnesses`),
   and `audit_algebra` on the 8-element chain lattice under pointed:bot,
   whose 128 congruences give 16,384 ordered pairs;
 - the public `star(compose(s, r)) == compose(star(s), r)` loop over the
@@ -88,9 +86,11 @@ file under each label:
 
     python scripts/bench.py --out BENCH.json --label parent=<other checkout>/src --label change
 
-A label without `=src` imports this checkout's `src/`.  Each case's
-verdict is stored with its times, so the labels can be checked to have
-done the same work.
+A label without `=src` imports this checkout's `src/`.  Every label's
+starcheck must have `HomomorphismSearch`, `algebra._closure_rows(...,
+square=True)` and `relations._star_permute_witnesses`; an older one
+fails on the cases that call them.  Each case's verdict is stored with
+its times, so the labels can be checked to have done the same work.
 """
 
 import argparse
@@ -252,16 +252,11 @@ def cases(sc, tmp: pathlib.Path):
 
     def endomorphisms():
         """The endomorphisms as check-identities builds them."""
-        if hasattr(sc, "HomomorphismSearch"):
-            from starcheck.cli import _ENDO_NODE_BUDGET
+        from starcheck.cli import _ENDO_NODE_BUDGET
 
-            everything = {x: z6.carrier for x in z6.carrier}
-            search = sc.HomomorphismSearch(z6, z6, everything, _ENDO_NODE_BUDGET)
-            endos = [sc.Homomorphism(z6, z6, m) for m in search]
-        else:  # older checkouts: brute force over all n**n maps
-            from starcheck.cli import _endomorphisms
-
-            endos = _endomorphisms(z6)
+        everything = {x: z6.carrier for x in z6.carrier}
+        search = sc.HomomorphismSearch(z6, z6, everything, _ENDO_NODE_BUDGET)
+        endos = [sc.Homomorphism(z6, z6, m) for m in search]
         return f"endomorphisms={len(endos)}"
 
     out.append(("endomorphisms groupZ6", endomorphisms))
@@ -299,11 +294,7 @@ def cases(sc, tmp: pathlib.Path):
     def square_rows():
         from starcheck import algebra
 
-        try:
-            rows = algebra._closure_rows(square, square=True)
-        except TypeError:  # a checkout whose rows come from the built square
-            rows = algebra._closure_rows(sc.direct_power(square, 2))
-        size, constants, plan, *_ = rows
+        size, constants, plan, *_ = algebra._closure_rows(square, square=True)
         return f"size={size} constants={constants} steps={len(plan)}"
 
     def enumeration(square=square):
@@ -321,13 +312,8 @@ def cases(sc, tmp: pathlib.Path):
         from starcheck import relations
 
         ctx = sc.ProtoPointed()
-        members = [sc.congruence_relation(c) for c in congruences]
-        if hasattr(relations, "_star_permute_witnesses"):
-            masks = [r.mask for r in members]
-            witnesses = list(relations._star_permute_witnesses(ctx, square, masks))
-        else:  # older checkouts: the public checker on every ordered pair
-            witnesses = [(r, s) for r in members for s in members
-                         if not sc.check_star_permutes(ctx, r, s).holds]
+        masks = [sc.congruence_relation(c).mask for c in congruences]
+        witnesses = list(relations._star_permute_witnesses(ctx, square, masks))
         return f"pairs={len(congruences) ** 2} failures={len(witnesses)}"
 
     lattice8 = sc.parse_algebra(lattice_text(8))

@@ -325,8 +325,8 @@ class HomomorphismSearch:
         position = {x: i for i, x in enumerate(self.domain)}
         self._checks: list[list] = [[] for _ in self.domain]
         for (_, arity, table), btable in zip(a.operations(), b.tables):
-            for combo in itertools.product(self.domain, repeat=arity):
-                value = table[_encode(combo, a.size)]
+            values = _product_values(table, a.size, self.domain, arity)
+            for combo, value in zip(itertools.product(self.domain, repeat=arity), values):
                 if value not in position:
                     raise ValueError("candidate domain is not a subuniverse")
                 last = max(position[c] for c in combo + (value,))

@@ -326,10 +326,11 @@ def _require_star_input(ctx: IdealContext, r: Relation) -> int:
 
 
 def star(ctx: IdealContext, r: Relation) -> Relation:
-    """Largest sub-star: the pairs of r whose first component is trivial."""
+    """Largest sub-star: the pairs of r whose first component is trivial.
+    It is compatible: a valid input is compatible or over the empty
+    signature, and the null elements form a subalgebra."""
     rows = _require_star_input(ctx, r)
-    hint = True if r._compatible else None
-    return Relation(r.source, r.source, r.mask & rows, compatible=hint)
+    return Relation(r.source, r.source, r.mask & rows, compatible=True)
 
 
 def _family_stacks(ctx: IdealContext, a: FiniteAlgebra, masks: list[int]):
@@ -390,7 +391,8 @@ def star_via_pullback(ctx: IdealContext, r: Relation) -> Relation:
     square's first projection (`_square_kernel`).  Each r is re-certified
     a subuniverse of the square, one `_product_values` pass per operation
     over the square's table at r's pair codes, and a failure raises
-    RuntimeError; then r's codes are cut down to the kernel."""
+    RuntimeError; then r's codes are cut down to the kernel, compatible
+    as star's are."""
     _require_star_input(ctx, r)
     n = r.source.size
     square, kernel = _square_kernel(ctx, r.source)
@@ -399,8 +401,7 @@ def star_via_pullback(ctx: IdealContext, r: Relation) -> Relation:
     for sym, arity, table in square.operations():
         if not closed.issuperset(_product_values(table, square.size, codes, arity)):
             raise RuntimeError(f"pair set certified compatible is not closed under {sym}")
-    hint = True if r._compatible else None
-    return Relation(r.source, r.source, sum(1 << c for c in closed & kernel), compatible=hint)
+    return Relation(r.source, r.source, sum(1 << c for c in closed & kernel), compatible=True)
 
 
 def star_kernel(ctx: IdealContext, f: Homomorphism) -> Relation:

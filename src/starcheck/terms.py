@@ -477,7 +477,8 @@ class SubstitutionGraph:
     ``binary_model`` is the partial model, ``unary_model`` is empty and
     incomplete, since F(1) is not built, and ``budget`` names the spent
     budget as ``clone-cells F(2) used/limit`` elements.  F(1) embeds in
-    F(2) under a limit at least F(2)'s, so it closes whenever F(2) does."""
+    F(2) through delta, so under F(2)'s limit it closes whenever F(2)
+    does."""
 
     g0: Homomorphism | None
     g1: Homomorphism | None
@@ -489,23 +490,18 @@ class SubstitutionGraph:
 
 def _model_limit(a: FiniteAlgebra, budget: int) -> int:
     """The largest m whose induced tables, m ** arity cells for each
-    operation of positive arity, fit in ``budget`` cells; ``budget``
-    itself when no operation has positive arity."""
+    operation of positive arity, fit in ``budget`` cells, bisected on
+    0..budget (each such table has at least m cells); ``budget`` itself
+    when no operation has positive arity."""
     arities = [arity for _, arity, _ in a.operations() if arity > 0]
-    if not arities:
-        return budget
-    top = max(arities)
-
-    def cells(m: int) -> int:
-        return sum(m ** arity for arity in arities)
-
-    # the top-arity tables alone bound m from above
-    m = int((budget / arities.count(top)) ** (1 / top))
-    while cells(m + 1) <= budget:
-        m += 1
-    while m and cells(m) > budget:
-        m -= 1
-    return m
+    low, high = 0, budget  # the tables of low elements fit, of high + 1 not
+    while low < high:
+        m = (low + high + 1) // 2
+        if sum(m ** arity for arity in arities) <= budget:
+            low = m
+        else:
+            high = m - 1
+    return low
 
 
 def substitution_graph(
@@ -514,28 +510,28 @@ def substitution_graph(
     """The substitution graph F(2) => F(1) at the constant element e.
 
     ``budget`` (positive) bounds, in table cells, both the clone rounds
-    and the induced tables of each materialized model: a model stops at
+    and the induced tables of each materialized model: F(2) stops at
     m elements, the largest m whose induced tables fit, so a model
-    larger than m gives no legs even where budget // |A|^n of its tables
+    larger than m gives no legs even where budget // |A|^2 of its tables
     would fit (for a 3-element ring at the default budget, m = 315
     against 22,222 tables of F(2)).  An F(2) that does not close by then
-    gives a graph without legs, not an error, and F(1) is not built."""
+    gives a graph without legs, not an error, and F(1) is not built;
+    else F(1), which delta embeds in F(2), closes under the same limit."""
     if budget < 1:
         raise ValueError("the clone budget must be positive")
     if e not in constants_subalgebra(a):
         raise ValueError(f"element {e} is not generated by the constants")
-    m = _model_limit(a, budget)
-    models = {n: FreeAlgebraModel(a, n, (), False) for n in (2, 1)}
-    for n in (2, 1):
-        cells = a.size ** n
-        limit = min(budget // cells, m)
-        if limit > 0:  # else not one table fits
-            models[n] = free_term_operations(a, n, limit * cells)
-        if not models[n].complete:
-            budget_text = f"clone-cells F({n}) {len(models[n])}/{limit}"
-            return SubstitutionGraph(None, None, None, models[2], models[1], budget_text)
-    binary, unary = models[2], models[1]
     size = a.size
+    limit = min(budget // size ** 2, _model_limit(a, budget))
+    if limit:
+        binary = free_term_operations(a, 2, limit * size ** 2)
+    else:  # not one binary table fits
+        binary = FreeAlgebraModel(a, 2, (), False)
+    if not binary.complete:
+        unary = FreeAlgebraModel(a, 1, (), False)
+        budget_text = f"clone-cells F(2) {len(binary)}/{limit}"
+        return SubstitutionGraph(None, None, None, binary, unary, budget_text)
+    unary = free_term_operations(a, 1, limit * size)
     f2 = binary.as_algebra(f"{a.name or 'A'}.free2")
     f1 = unary.as_algebra(f"{a.name or 'A'}.free1")
 

@@ -225,6 +225,15 @@ class TestHomomorphisms:
         with pytest.raises(ValueError, match=message):
             sc.HomomorphismSearch(set3, set3, candidates, 100)
 
+    @pytest.mark.parametrize("domain", [
+        pytest.param((0, 1), id="add"),  # 1 + 1 = 2
+        pytest.param((0, 2), id="one"),  # the constant 1
+    ])
+    def test_search_rejects_domain_that_is_not_a_subuniverse(self, ring_z4, domain):
+        candidates = {x: ring_z4.carrier for x in domain}
+        with pytest.raises(ValueError, match=r"^candidate domain is not a subuniverse$"):
+            sc.HomomorphismSearch(ring_z4, ring_z4, candidates, 100)
+
     @pytest.mark.parametrize("node_budget", [0, -1])
     def test_search_rejects_non_positive_node_budget(self, set3, node_budget):
         with pytest.raises(ValueError, match=r"^node budget must be positive$"):

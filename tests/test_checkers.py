@@ -168,6 +168,19 @@ class TestGraphChecker:
                         image = sc.graph_image(g0, g1)
                         assert sc.is_left_star_symmetric(ctx, image).holds
 
+    def test_no_sigma_among_the_candidates_fails(self):
+        # every t has candidates, but t = 0 is fixed by f and its
+        # candidates 1 and 2 are swapped by f, so no candidate map is a
+        # homomorphism: FAIL after the search, with no blocked element
+        sig = sc.Signature((("f", 1),))
+        d = sc.FiniteAlgebra(sig, 3, ((0, 2, 1),))
+        x = sc.FiniteAlgebra(sig, 2, ((0, 1),))
+        g0 = sc.Homomorphism(d, x, (0, 1, 1))
+        g1 = sc.Homomorphism(d, x, (1, 0, 0))
+        v = sc.graph_left_star_symmetric(sc.Total(), g0, g1)
+        assert v.verdict is Verdict.FAIL
+        assert (v.sigma, v.blocked_element, v.nodes) == (None, None, 2)
+
     def test_budget_gives_inconclusive(self, set3):
         ident = sc.identity_homomorphism(set3)
         v = sc.graph_left_star_symmetric(sc.Total(), ident, ident, node_budget=1)

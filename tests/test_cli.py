@@ -318,6 +318,36 @@ class TestExitCodes:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("files, argv, message", [
+        pytest.param({"a.alg": ""}, ["audit", "--algebra", "a.alg"],
+                     "a.alg:1:1: empty document", id="empty-algebra"),
+        pytest.param({"a.alg": "algebra a\nsize 0\n"}, ["audit", "--algebra", "a.alg"],
+                     "a.alg:2:6: size must be at least 1", id="size-0"),
+        pytest.param({"a.alg": "algebra a\nsize 2\nfun c = 1\n"},
+                     ["audit", "--algebra", "a.alg"],
+                     "a.alg:3:1: expected a const or op line", id="neither-const-nor-op"),
+        pytest.param({"a.alg": "algebra a\nsize 2\nconst c = 1 2\n"},
+                     ["audit", "--algebra", "a.alg"],
+                     "a.alg:3:13: unexpected trailing text", id="trailing-text"),
+        pytest.param({"r.rel": "relation r\n"},
+                     ["check-relation", "--algebra", str(ROOT / "corpus" / "set3.alg"),
+                      "--relation", "r.rel", "--context", "pointed:0",
+                      "--property", "left-star-symmetric"],
+                     "r.rel:1:1: expected relation and algebra headers", id="one-header"),
+        pytest.param({}, ["audit", "--algebra", str(ROOT / "corpus" / "set3.alg"),
+                          "--context", "pointed:"],
+                     "pointed context needs a base element", id="pointed-without-base"),
+    ])
+    def test_edge_input_is_usage_error(
+        self, files, argv, message, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        code = main(argv, out=io.StringIO())
+        assert code == 2
+        assert capsys.readouterr().err == f"starcheck: error: {message}\n"
+
 
 def cyclic_text(n: int, ring: bool) -> str:
     """Z_n as an abelian group (zero, add, neg) or a ring (also one, mul)."""
@@ -486,6 +516,30 @@ class TestHumanReports:
             "  warning: relation budget spent (48/48), the family is truncated"
         )
         assert got == 3
+
+
+class TestAuditWitnessLines:
+    def test_opposite_side_witness(self, tmp_path):
+        # star-symmetry fails first on the opposite of {(0,0),(0,1),(1,1)}
+        path = tmp_path / "opp.alg"
+        path.write_text("algebra opp\nsize 2\nconst c = 1\nop f/1 = [1 1]\n")
+        code, out = run_cli(["audit", "--algebra", str(path), "--context", "proto",
+                             "--machine"])
+        assert code == 1
+        assert out.splitlines()[-1] == (
+            "CHECK reflexive-star-symmetric FAIL examined=4 failures=2 "
+            "witness=(1,0) relation={(0,0),(0,1),(1,1)} side=opposite"
+        )
+
+    def test_human_permutability_counterexample(self):
+        code, out = run_cli(["audit", "--algebra", "corpus/set3.alg",
+                             "--context", "pointed:0"])
+        assert code == 1
+        lines = out.splitlines()
+        assert lines[1:3] == [
+            "  congruence pairs star permute: FAIL (25 examined)",
+            "    counterexample: congruences {0},{1,2} and {0,2},{1}, pair (0,1)",
+        ]
 
 
 MACHINE_LINE = re.compile(

@@ -2,7 +2,8 @@
 and their squares (the clone rounds also on fixed 7-, 16- and 17-element
 ones, square rows also on a fixed 17-element one, the term searches also
 on corpus algebras, closures on a fixed 300-element one, congruence
-lattices on fixed 9- and 16-element squares), over relations between
+lattices on fixed 9- and 16-element squares, free-model limits on
+one-element ones of random signatures), over relations between
 bare sets of one to four elements (up to sixteen for opposites), and
 over stacks of up to eight masks on one to five elements.  Examples are
 derandomized, so every run checks the same ones."""
@@ -35,7 +36,15 @@ from starcheck.relations import (
     _pull_back_stack,
     _stack_masks,
 )
-from starcheck.terms import App, Var, _clone_closure, term_text, variable_name
+from starcheck.terms import (
+    DEFAULT_CLONE_BUDGET,
+    App,
+    Var,
+    _clone_closure,
+    _model_limit,
+    term_text,
+    variable_name,
+)
 
 from conftest import (
     all_maps,
@@ -95,10 +104,10 @@ def commuting_algebras(draw):
 
 
 @st.composite
-def mixed_algebras(draw, arities=None):
+def mixed_algebras(draw, arities=None, sizes=(2, 3)):
     """One to three operations, each of arity 0 to 3, unless the arities
-    are given."""
-    n = draw(st.integers(2, 3))
+    are given, on a carrier of 2 to 3 elements, unless the sizes are."""
+    n = draw(st.integers(*sizes))
     if arities is None:
         arities = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
     element = st.integers(0, n - 1)
@@ -1054,6 +1063,62 @@ def test_graph_route_tables_fit_the_clone_budget(arities, budget, data):
     else:
         assert verdict.verdict is sc.Verdict.INCONCLUSIVE
         assert graph.budget.startswith("clone-cells F(")
+
+
+def counted_model_limit(arities, budget):
+    """The most elements whose induced tables fit in ``budget`` cells, by
+    counting up, and no more than ``budget``."""
+    m = 0
+    while m < budget and sum((m + 1) ** k for k in arities if k > 0) <= budget:
+        m += 1
+    return m
+
+
+@PROPERTY_SETTINGS
+@given(st.lists(st.integers(0, 4), max_size=4), st.integers(1, 20_000))
+@example([3], 64)  # a perfect cube whose float cube root is 3.9999999999999996
+@example([2, 2, 1], DEFAULT_CLONE_BUDGET)  # a ring: 315 elements
+@example([0], 7)  # no operation of positive arity
+def test_model_limit_bisection_matches_counting_up(arities, budget):
+    symbols = tuple((f"f{i}", k) for i, k in enumerate(arities))
+    a = sc.FiniteAlgebra(sc.Signature(symbols), 1, ((0,),) * len(arities))
+    assert _model_limit(a, budget) == counted_model_limit(arities, budget)
+
+
+def constant_algebras(sizes=(2, 3)):
+    """A constant and one or two operations of arity 1 to 3."""
+    arities = st.lists(st.integers(1, 3), min_size=1, max_size=2)
+    return arities.flatmap(lambda ks: mixed_algebras([0, *ks], sizes))
+
+
+@PROPERTY_SETTINGS
+@given(constant_algebras(sizes=(2, 2)))
+@example(load_algebra("monoid01"))
+def test_graph_route_decides_as_the_term_route(a):
+    # the paper's theorem per e: the substitution graph at e is left
+    # star-symmetric iff the variety has an e-subtractive term.  On two
+    # elements the clones are small, so both routes decide
+    search = sc.find_e_subtractive_terms(a)
+    assert search.status is not sc.SearchStatus.INCONCLUSIVE
+    for e in sorted(sc.constants_subalgebra(a)):
+        graph = sc.substitution_graph(a, e)
+        verdict = sc.graph_left_star_symmetric(sc.ProtoPointed(), graph.g0, graph.g1)
+        assert verdict.verdict is not sc.Verdict.INCONCLUSIVE
+        assert (verdict.verdict is sc.Verdict.PASS) == (e not in search.missing)
+
+
+@PROPERTY_SETTINGS
+@given(constant_algebras())
+@example(load_algebra("ringZ2"))
+def test_subtractive_terms_make_the_symmetry_suites_pass(a):
+    # a term for every constant element makes every reflexive compatible
+    # relation star-symmetric under proto: suites 3 and 4 of the audit.
+    # The clone budget keeps the 3-element searches short; a FOUND under
+    # it is certified all the same
+    search = sc.find_e_subtractive_terms(a, budget=20_000)
+    if search.status is sc.SearchStatus.FOUND:
+        report = sc.audit_algebra(sc.ProtoPointed(), a)
+        assert [c.verdict for c in report.conditions[2:]] == [sc.Verdict.PASS] * 2
 
 
 def pair_sets(ns, nt):

@@ -2,7 +2,7 @@ import pytest
 
 import starcheck as sc
 from starcheck.errors import BudgetError
-from starcheck.terms import DEFAULT_CLONE_BUDGET, SearchStatus
+from starcheck.terms import DEFAULT_CLONE_BUDGET, SearchStatus, _model_limit
 
 from conftest import load_algebra, ring_algebra
 
@@ -321,6 +321,17 @@ class TestSubstitutionGraph:
     def test_budget_must_be_positive(self, ring_z2, budget):
         with pytest.raises(ValueError, match="must be positive"):
             sc.substitution_graph(ring_z2, 0, budget=budget)
+
+    def test_constants_only_signature(self):
+        # no operation of positive arity: no induced table limits the models
+        a = sc.FiniteAlgebra(sc.Signature((("c", 0),)), 2, ((1,),))
+        assert _model_limit(a, 50) == 50
+        cg = sc.substitution_graph(a, 1, budget=50)
+        assert cg.budget is None
+        assert (len(cg.binary_model), len(cg.unary_model)) == (3, 2)  # x, y, c and x, c
+        v = sc.graph_left_star_symmetric(sc.ProtoPointed(), cg.g0, cg.g1)
+        assert v.verdict is sc.Verdict.FAIL
+        assert sc.find_e_subtractive_terms(a).status is SearchStatus.ABSENT
 
 
 class TestVerifyIdentities:
