@@ -40,9 +40,11 @@ Times, each call in full, with `time.perf_counter`:
   r)` over every pair of enumerated relations of monoid01^2 under
   pointed:0 (as each permutability check of audit composes), the public
   `star(inverse_image(f, s)) == star(inverse_image(f, star(s)))` loop over
-  the 27 self-maps and 512 relations of set3 under the total context, and
-  `is_star_symmetric` on every enumerated relation of monoid01^2 under
-  pointed:0 (relation compose/star/inverse image and the symmetry
+  the 27 self-maps and 512 relations of set3 under the total context,
+  `inverse_image` along every map set3 -> set2 of every relation on set2
+  (a map between different carriers), and `is_star_symmetric` and
+  `is_left_star_symmetric` on every enumerated relation of monoid01^2
+  under pointed:0 (relation compose/star/inverse image and the symmetry
   checkers);
 - `check-identities` through `starcheck.cli.main` (the law suite as the
   command runs it) on set3 under the total and the pointed:0 context,
@@ -364,9 +366,9 @@ def cases(sc, tmp: pathlib.Path):
 
     out.append(("audit_algebra monoid01^2 pointed:zero", monoid_audit))
 
-    def symmetry():
+    def symmetry(check):
         ctx = sc.Pointed(0)
-        failed = sum(not sc.is_star_symmetric(ctx, r).holds for r in relations)
+        failed = sum(not check(ctx, r).holds for r in relations)
         return f"relations={len(relations)} failed={failed}"
 
     def compose_stars():
@@ -391,10 +393,23 @@ def cases(sc, tmp: pathlib.Path):
         )
         return f"cases={len(maps) * len(family)} held={held}"
 
+    set2 = algebras["set2"]
+    set2_family = [sc.Relation(set2, set2, mask) for mask in range(1 << 4)]
+    into_set2 = [sc.Homomorphism(set3, set2, m) for m in itertools.product(range(2), repeat=3)]
+
+    def inverse_images():
+        """inverse_image along every map set3 -> set2 of every relation on set2."""
+        pairs = sum(len(sc.inverse_image(f, s)) for f in into_set2 for s in set2_family)
+        return f"cases={len(into_set2) * len(set2_family)} pairs={pairs}"
+
     out.append(("public star/compose law set3 total", compose_star))
     out.append(("compose star x relation monoid01^2", compose_stars))
     out.append(("public star/inverse_image law set3 total", inverse_image_star))
-    out.append(("is_star_symmetric monoid01^2 pointed:0", symmetry))
+    out.append(("inverse_image set3->set2", inverse_images))
+    out.append(("is_star_symmetric monoid01^2 pointed:0",
+                lambda: symmetry(sc.is_star_symmetric)))
+    out.append(("is_left_star_symmetric monoid01^2 pointed:0",
+                lambda: symmetry(sc.is_left_star_symmetric)))
 
     def command(argv):
         from starcheck.cli import main

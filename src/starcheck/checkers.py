@@ -1,18 +1,18 @@
 """Decision procedures for star-symmetry and star-permutability.
 
 The relation checkers scan concrete pair sets through `relations`, which
-owns the pair-bit layout: left star-symmetry walks only the star's pairs
-(the relation masked by the cached null-row mask) and a permutability
-witness is the first pair of the two composites' difference, so both
-witnesses are the lexicographically first.  The graph checker searches
+owns the pair-bit layout: both star-symmetry witnesses come from one
+kernel that compares each null row with its column, and a permutability
+witness is the first pair of the two composites' difference, so every
+witness is the lexicographically first.  The graph checker searches
 for the connecting homomorphism between the kernels of the two legs with
 `algebra.HomomorphismSearch`, and is INCONCLUSIVE on a graph without
 legs.  The whole-algebra audit runs four condition suites over the
 congruences and the enumerated reflexive compatible relations of one
 algebra.  Suites 1-2 read each permutability witness off the stacked
 star composites of `relations` (one composition per congruence, not two
-per ordered pair), and suites 3-4 read both symmetry witnesses off each
-relation's mask.
+per ordered pair), and suites 3-4 read both symmetry witnesses of each
+relation off the same kernel as the public checkers.
 A single finite algebra can only certify counterexamples: a
 failure refutes the variety it generates, while a clean audit is evidence,
 not a proof (positive variety-level certificates come from the term
@@ -34,17 +34,15 @@ from .algebra import (
     _closure_rows,
     all_congruences,
 )
-from .contexts import IdealContext, n_kernel, validate_context
+from .contexts import IdealContext, _null_elements, n_kernel, validate_context
 from .errors import BudgetError
 from .relations import (
     Relation,
     _mask_pairs,
-    _null_rows,
     _star_permute_witnesses,
-    _transpose_mask,
+    _star_symmetry_witnesses,
     compose,
     congruence_relation,
-    opposite,
     star,
 )
 
@@ -71,27 +69,27 @@ class SymmetryVerdict:
     from_opposite: bool = False
 
 
+def _symmetry_witnesses(ctx: IdealContext, r: Relation):
+    if not r.is_square:
+        raise ValueError("need a square relation")
+    nulls = sorted(_null_elements(ctx, r.source))
+    return _star_symmetry_witnesses(r.mask, r.source.size, nulls)
+
+
 def is_left_star_symmetric(ctx: IdealContext, r: Relation) -> SymmetryVerdict:
     """Left star-symmetry: every pair of the star must appear reversed in
     the relation."""
-    if not r.is_square:
-        raise ValueError("need a square relation")
-    for a, b in _mask_pairs(r.mask & _null_rows(ctx, r.source), r.source.size):
-        if (b, a) not in r:
-            return SymmetryVerdict(False, (a, b))
-    return SymmetryVerdict(True)
+    left, _ = _symmetry_witnesses(ctx, r)
+    return SymmetryVerdict(left is None, left)
 
 
 def is_star_symmetric(ctx: IdealContext, r: Relation) -> SymmetryVerdict:
     """Star-symmetry: both the relation and its opposite are left
     star-symmetric; the relation side is checked first."""
-    direct = is_left_star_symmetric(ctx, r)
-    if not direct.holds:
-        return direct
-    reverse = is_left_star_symmetric(ctx, opposite(r))
-    if not reverse.holds:
-        return SymmetryVerdict(False, reverse.witness, from_opposite=True)
-    return SymmetryVerdict(True)
+    left, right = _symmetry_witnesses(ctx, r)
+    if left is not None:
+        return SymmetryVerdict(False, left)
+    return SymmetryVerdict(right is None, right, from_opposite=right is not None)
 
 
 @dataclass(frozen=True)
@@ -331,8 +329,8 @@ def audit_algebra(
     suite 2 runs over the same set and says so); 3 and 4 check left
     star-symmetry and star-symmetry over every enumerated reflexive
     compatible relation.  The witnesses are the public checkers': 1-2 read
-    them off stacked composites, 3-4 take the first pair of m & null & ~t,
-    else of t & null & ~m (opposite), m and t the masks of r and r^op."""
+    them off stacked composites, and 3-4 off the checkers' witness kernel,
+    `relations._star_symmetry_witnesses`, with the nulls sorted once."""
     validate_context(ctx, a)
     congruences = all_congruences(a, size_budget=congruence_size_budget)
     masks = [congruence_relation(c).mask for c in congruences]
@@ -350,15 +348,15 @@ def audit_algebra(
     enum = enumerate_reflexive_compatible(a, budget=max_relations)
     left_witnesses: list[SymmetryWitness] = []
     full_witnesses: list[SymmetryWitness] = []
-    n, null = a.size, _null_rows(ctx, a)
+    nulls = sorted(_null_elements(ctx, a))
     for r in enum.relations:
-        t = _transpose_mask(r.mask, n, n)
-        if left := r.mask & null & ~t:
-            witness = SymmetryWitness(r, next(_mask_pairs(left, n)))
+        left, right = _star_symmetry_witnesses(r.mask, a.size, nulls)
+        if left is not None:
+            witness = SymmetryWitness(r, left)
             left_witnesses.append(witness)
             full_witnesses.append(witness)
-        elif right := t & null & ~r.mask:
-            full_witnesses.append(SymmetryWitness(r, next(_mask_pairs(right, n)), True))
+        elif right is not None:
+            full_witnesses.append(SymmetryWitness(r, right, True))
 
     note = "enumeration truncated by budget" if enum.truncated else ""
     passed = Verdict.INCONCLUSIVE if enum.truncated else Verdict.PASS

@@ -46,7 +46,6 @@ from .algebra import (
     _line_error,
     _read_line,
     all_congruences,
-    constants_subalgebra,
     parse_algebra,
 )
 from .checkers import (
@@ -58,7 +57,7 @@ from .checkers import (
     is_left_star_symmetric,
     is_star_symmetric,
 )
-from .contexts import IdealContext, Pointed, Total, parse_context, resolve_base, validate_context
+from .contexts import IdealContext, Pointed, Total, null_class, parse_context, validate_context
 from .errors import BudgetError, ContextError, ParseError, UsageError
 from .relations import (
     Relation,
@@ -311,10 +310,7 @@ def _cmd_find_terms(args: argparse.Namespace, out: IO[str]) -> int:
     else:
         if isinstance(ctx, Total):
             raise UsageError("subtractive term search needs a pointed or proto context")
-        if isinstance(ctx, Pointed):
-            targets = (resolve_base(ctx, a),)
-        else:
-            targets = tuple(sorted(constants_subalgebra(a)))
+        targets = tuple(sorted(null_class(ctx, a).elements))
         if not targets:
             raise UsageError("the signature has no constants")
         report = _Report(args, out, algebra=a.name, context=str(ctx), kind=args.kind)
@@ -418,7 +414,7 @@ def _cmd_check_identities(args: argparse.Namespace, out: IO[str]) -> int:
 
     candidates = {x: a.carrier for x in a.carrier}
     if isinstance(ctx, Pointed):
-        base = resolve_base(ctx, a)
+        (base,) = null_class(ctx, a).elements
         candidates[base] = (base,)
     try:
         search = HomomorphismSearch(a, a, candidates, _ENDO_NODE_BUDGET)

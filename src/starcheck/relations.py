@@ -12,17 +12,18 @@ element of the context, an AND with the null-row mask.
 Composition works on whole masks, column by row: `_compose_masks` ORs,
 over each middle element y, column y of the first relation (one bit per
 row) times row y of the second, one big-int product per middle element.
-An inverse image f^-1(s) is f ; s ; f^op on the same kernel, from the
-graph masks that `_graph_masks` lays out.  The opposite of a relation is
-a transpose on whole masks: `_transpose_mask` gathers each column into a
-row with one big-int product.
+The opposite of a relation is a transpose on whole masks:
+`_transpose_mask` gathers each column into a row with one big-int
+product, and `_star_symmetry_witnesses`, the one source of star-symmetry
+witnesses, compares each null row with its column gathered the same way.
 
 A family of k square masks on n elements stacks into one int, member i
 at bit i * n^2 (`_stack_masks`).  The stack is itself a (k * n) by n
 relation whose member i fills rows i * n to i * n + n - 1, and its rows
 stay n bits apart, so `_compose_masks(stack, r, k * n, n, n)` is the
-stack of every s_i ; r with no carry from one member into the next, and
-`_pull_back_stack` pulls every member back along one endomorphism.  A
+stack of every s_i ; r with no carry from one member into the next.
+`_pull_back_stack` pulls every member back along one endomorphism, or a
+stack of one along any f: the inverse image f^-1(s) = f ; s ; f^op.  A
 per-member mask such as the null rows is tiled over the stack by one
 product with `_column_bits(k, n^2)`, a bit at the start of every member,
 so the stack of the members' stars is one AND.
@@ -199,24 +200,25 @@ def compose(r: Relation, s: Relation) -> Relation:
     return Relation(r.source, s.target, mask, compatible=hint)
 
 
-def _transpose_mask(mask: int, ns: int, nt: int) -> int:
-    """The mask of r^op from the mask of r (ns by nt).
+@functools.lru_cache(maxsize=None)
+def _gather_words(rows: int, width: int) -> tuple[int, int, int, int]:
+    """(column, gather, shift, row) for rows laid width >= rows bits apart:
+    (mask >> y & column) * gather >> shift & row is column y as a row.
+    Bit x of the column, at x * width, times the gather word's bit every
+    width - 1 places lands at shift + x, and no two partial products share
+    a place, so nothing carries.  With one row the column is the row."""
+    gather = _column_bits(rows, width - 1) if width > 1 else 1
+    return _column_bits(rows, width), gather, (rows - 1) * (width - 1), (1 << rows) - 1
 
-    Column y of r, one bit per row x at x * width, times the gather word
-    with one bit every width - 1 places puts bit x of the column at
-    (ns - 1) * (width - 1) + x: that window is row y of the result.  With
-    the rows at least ns bits apart no two partial products share a
-    place, so nothing carries.  Rows are re-laid at the common width only
-    when the source is the larger carrier."""
+
+def _transpose_mask(mask: int, ns: int, nt: int) -> int:
+    """The mask of r^op from the mask of r (ns by nt): column y of r,
+    gathered into a row (`_gather_words`), is row y of the result; rows are
+    re-laid at the common width only when the source is the larger carrier."""
     width = ns if ns > nt else nt
-    if width == 1:
-        return mask
     if width != nt:
         mask = _relayout(mask, ns, nt, width)
-    column = _column_bits(ns, width)
-    gather = _column_bits(ns, width - 1)
-    shift = (ns - 1) * (width - 1)
-    row = (1 << ns) - 1
+    column, gather, shift, row = _gather_words(ns, width)
     out = 0
     for y in range(nt):
         out |= ((mask >> y & column) * gather >> shift & row) << y * ns
@@ -226,6 +228,25 @@ def _transpose_mask(mask: int, ns: int, nt: int) -> int:
 def opposite(r: Relation) -> Relation:
     mask = _transpose_mask(r.mask, r.source.size, r.target.size)
     return Relation(r.target, r.source, mask, compatible=r._compatible)
+
+
+def _star_symmetry_witnesses(mask: int, n: int, nulls: Iterable[int]):
+    """The first star-symmetry witness of a square mask on n elements and
+    the first of its opposite, each None when absent, for the null elements
+    in increasing order: row x of the mask is compared with column x,
+    gathered into a row by one product (`_gather_words`)."""
+    left = right = None
+    column, gather, shift, row = _gather_words(n, n)
+    for x in nulls:
+        ours = mask >> x * n & row
+        if diff := ours ^ ((mask >> x & column) * gather >> shift & row):
+            if left is None and (d := diff & ours):
+                left = (x, (d & -d).bit_length() - 1)
+            if right is None and (d := diff & ~ours):
+                right = (x, (d & -d).bit_length() - 1)
+            if left is not None and right is not None:
+                break
+    return left, right
 
 
 def _equal_label_relation(a: FiniteAlgebra, labels: tuple[int, ...]) -> Relation:
@@ -245,22 +266,6 @@ def kernel_pair(f: Homomorphism) -> Relation:
     return _equal_label_relation(f.domain, f.map)
 
 
-def _graph_masks(f: Homomorphism) -> tuple[int, int]:
-    """The masks of the graph of f, {(a, f(a))}, and of its opposite."""
-    nd, nc = f.domain.size, f.codomain.size
-    graph = graph_op = 0
-    for a, b in enumerate(f.map):
-        graph |= 1 << (a * nc + b)
-        graph_op |= 1 << (b * nd + a)
-    return graph, graph_op
-
-
-def _pull_back_mask(graph: int, graph_op: int, smask: int, nd: int, nc: int) -> int:
-    """The mask of f ; s ; f^op from the graph masks of f : nd -> nc and
-    the mask of s, a square relation on nc elements."""
-    return _compose_masks(_compose_masks(graph, smask, nd, nc, nc), graph_op, nd, nc, nd)
-
-
 def _stack_masks(masks: list[int], n: int) -> int:
     """The stack of square masks on n elements: member i at bit i * n^2."""
     stack = 0
@@ -270,28 +275,29 @@ def _stack_masks(masks: list[int], n: int) -> int:
 
 
 def _pull_back_stack(f: Homomorphism, stack: int, k: int) -> int:
-    """The stack of f ; s_i ; f^op from a stack of k square masks s_i, for
-    an endomorphism f.  Composing the stack with the graph of f^op does
-    the right factor for every member at once; the left factor moves row
-    f(x) of every member to row x, one shift and mask per element."""
-    n = f.domain.size
-    _, graph_op = _graph_masks(f)
-    right = _compose_masks(stack, graph_op, k * n, n, n)
-    first_rows = ((1 << n) - 1) * _column_bits(k, n * n)
+    """The stack of f ; s_i ; f^op from a stack of k square masks s_i on
+    f's codomain, for any f when k = 1 and an endomorphism when k > 1.
+    Composing with the graph of f^op does the right factor of every member
+    at once; the left factor moves row f(x) of every member to row x."""
+    nd, nc = f.domain.size, f.codomain.size
+    graph_op = 0
+    for a, b in enumerate(f.map):
+        graph_op |= 1 << (b * nd + a)
+    right = _compose_masks(stack, graph_op, k * nc, nc, nd)
+    first_rows = ((1 << nd) - 1) * _column_bits(k, nc * nd)
     out = 0
     for x, fx in enumerate(f.map):
-        out |= (right >> fx * n & first_rows) << x * n
+        out |= (right >> fx * nd & first_rows) << x * nd
     return out
 
 
 def inverse_image(f: Homomorphism, s: Relation) -> Relation:
-    """Pairs of the domain whose images land in s: f ; s ; f^op, composing
-    the masks of the graph of f and of its opposite.  The graph is
-    compatible because f is a homomorphism, so the result is whenever s
-    is."""
+    """Pairs of the domain whose images land in s: f ; s ; f^op, pulled
+    back as a stack of one.  The graph is compatible because f is a
+    homomorphism, so the result is whenever s is."""
     if s.source != f.codomain or s.target != f.codomain:
         raise ValueError("relation must be square on the codomain of f")
-    mask = _pull_back_mask(*_graph_masks(f), s.mask, f.domain.size, f.codomain.size)
+    mask = _pull_back_stack(f, s.mask, 1)
     hint = True if s._compatible else None
     return Relation(f.domain, f.domain, mask, compatible=hint)
 

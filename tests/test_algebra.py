@@ -410,3 +410,24 @@ class TestStructuralProperties:
             ea = sc.constants_subalgebra(f.domain)
             eb = sc.constants_subalgebra(f.codomain)
             assert {f.map[x] for x in ea} <= set(eb)
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: sc.Signature((("", 2),)), "empty symbol name"),
+    (lambda: sc.Signature((("f", 1), ("f", 2))), "duplicate symbol 'f'"),
+    (lambda: sc.Signature((("f", -1),)), "negative arity for 'f'"),
+    (lambda: sc.FiniteAlgebra(sc.Signature(()), 0, ()), "carrier must have at least one element"),
+    (lambda: sc.FiniteAlgebra(sc.Signature((("c", 0),)), 2, ()), "one table per symbol required"),
+    (lambda: sc.FiniteAlgebra(sc.Signature((("f", 1),)), 2, ((0,),)),
+     "table for f/1 has 1 entries, expected 2"),
+    (lambda: sc.compose_homomorphisms(
+        sc.identity_homomorphism(empty_set_algebra(2)),
+        sc.identity_homomorphism(empty_set_algebra(3))),
+     "homomorphisms are not composable"),
+    (lambda: sc.direct_power(empty_set_algebra(2), 0), "power must be positive"),
+], ids=["empty-name", "duplicate-symbol", "negative-arity", "size-0", "table-count",
+        "table-length", "compose-homomorphisms", "direct-power-0"])
+def test_public_edge_checks(build, message):
+    with pytest.raises(ValueError) as raised:
+        build()
+    assert str(raised.value) == message

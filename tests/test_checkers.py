@@ -351,3 +351,23 @@ class TestTotalContextCollapse:
                     == sc.relation_predicates(r).symmetric
                 )
                 assert sc.star(sc.Total(), r) == r
+
+
+def _square(n, mask=0):
+    return sc.Relation(empty_set_algebra(n), empty_set_algebra(n), mask)
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: sc.is_left_star_symmetric(
+        sc.Total(), sc.Relation(empty_set_algebra(2), empty_set_algebra(3), 1)),
+     "need a square relation"),
+    (lambda: sc.is_star_symmetric(
+        sc.Total(), sc.Relation(empty_set_algebra(2), empty_set_algebra(3), 1)),
+     "need a square relation"),
+    (lambda: sc.check_star_permutes(sc.Total(), _square(2), _square(3)),
+     "need two square relations on the same carrier"),
+], ids=["left-not-square", "star-symmetric-not-square", "permutes-two-carriers"])
+def test_public_edge_checks(build, message):
+    with pytest.raises(ValueError) as raised:
+        build()
+    assert str(raised.value) == message

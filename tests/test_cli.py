@@ -541,6 +541,21 @@ class TestAuditWitnessLines:
             "    counterexample: congruences {0},{1,2} and {0,2},{1}, pair (0,1)",
         ]
 
+    @pytest.mark.parametrize("machine,tail", [
+        (True, [f"CHECK {key} INCONCLUSIVE examined=2 note=truncated"
+                for key in ("reflexive-left-star-symmetric", "reflexive-star-symmetric")]),
+        (False, [line for label in ("reflexive left star symmetric", "reflexive star symmetric")
+                 for line in (f"  {label}: INCONCLUSIVE (2 examined)",
+                              "    note: enumeration truncated by budget")]),
+    ], ids=["machine", "human"])
+    def test_truncated_symmetry_suites(self, machine, tail):
+        # ringZ4 has more reflexive compatible relations than a budget of 2,
+        # and suites 3-4 find no failure among the two kept
+        code, out = run_cli(["audit", "--algebra", "corpus/ringZ4.alg", "--context", "proto",
+                             "--max-relations", "2", *["--machine"] * machine])
+        assert code == 3
+        assert out.splitlines()[-len(tail):] == tail
+
 
 MACHINE_LINE = re.compile(
     r"^(RUN|INFO|WARN|CONGRUENCE \d+|COUNT|CHECK \S+ (PASS|FAIL|INCONCLUSIVE))"

@@ -4,7 +4,7 @@ import pytest
 
 import starcheck as sc
 
-from conftest import all_maps, all_relations
+from conftest import all_maps, all_relations, empty_set_algebra
 
 
 def naive_compose(r: sc.Relation, s: sc.Relation) -> set:
@@ -318,3 +318,27 @@ class TestCompatibilityFlag:
                 r.verify_compatible()
             with pytest.raises(ValueError, match="share a signature"):
                 r.compatible
+
+
+def _rect():
+    """A relation from a 2-element onto a 3-element set: not square."""
+    return sc.Relation(empty_set_algebra(2), empty_set_algebra(3), 1)
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: sc.Relation(empty_set_algebra(2), empty_set_algebra(2), 1 << 4),
+     "mask out of range for the carriers"),
+    (lambda: sc.Relation.from_pairs(empty_set_algebra(2), empty_set_algebra(3), [(0, 3)]),
+     "pair (0,3) out of range"),
+    (lambda: sc.star(sc.Total(), _rect()), "star needs a square relation"),
+    (lambda: sc.relation_predicates(_rect()), "predicates need a square relation"),
+    (lambda: sc.graph_image(
+        sc.identity_homomorphism(empty_set_algebra(2)),
+        sc.identity_homomorphism(empty_set_algebra(3))),
+     "graph legs must share domain and codomain"),
+], ids=["mask-out-of-range", "pair-out-of-range", "star-not-square",
+        "predicates-not-square", "graph-image-legs"])
+def test_public_edge_checks(build, message):
+    with pytest.raises(ValueError) as raised:
+        build()
+    assert str(raised.value) == message

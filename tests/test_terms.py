@@ -400,3 +400,15 @@ class TestCertificateSoundness:
         for r in congs:
             for s in congs:
                 assert sc.compose(r, s) == sc.compose(s, r)
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: sc.TermOperation(load_algebra("set2"), 1, (0,), sc.Var(0)),
+     "table length does not match the arity"),
+    (lambda: sc.find_e_subtractive_terms(load_algebra("ringZ4"), elements=(4,)),
+     "element 4 out of range"),
+], ids=["term-operation-table-length", "subtractive-element-out-of-range"])
+def test_public_edge_checks(build, message):
+    with pytest.raises(ValueError) as raised:
+        build()
+    assert str(raised.value) == message
